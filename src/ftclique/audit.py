@@ -12,7 +12,7 @@ from itertools import combinations
 from math import comb
 
 from .blocks import blocks
-from .connectivity import component_masks
+from .connectivity import component_masks, is_connected
 from .graphs import Graph, bits, mask_of, vertex_tuple
 from .packing import has_clique_containing
 from .verify import FTParams, degree_floor, verify_ft
@@ -24,6 +24,8 @@ __all__ = [
     "audit_low_degree_cliques",
     "audit_separator",
     "size_k_separators",
+    "vertex_in_no_clique",
+    "tight_vertex_with_open_closure",
     "RecognitionResult",
     "recognize_min_1ft",
 ]
@@ -67,6 +69,31 @@ class AuditReport:
         }
 
 
+def vertex_in_no_clique(graph: Graph, c: int) -> int | None:
+    """First vertex that lies in no c-clique, or None.
+
+    At the critical order every vertex must: deleting any k other vertices
+    leaves exactly p*c survivors, which the packing must cover."""
+    for v in range(graph.n):
+        if not has_clique_containing(graph, v, c):
+            return v
+    return None
+
+
+def tight_vertex_with_open_closure(graph: Graph, floor: int) -> int | None:
+    """First vertex of degree exactly floor whose closed neighborhood is not
+    a clique, or None.
+
+    At the critical order with c >= 3 and floor = c + k - 1, deleting any k
+    neighbors of such a vertex must leave the other c - 1 as its clique, so
+    every pair of its neighbors is adjacent."""
+    for v in range(graph.n):
+        nbrs = graph.adj[v]
+        if nbrs.bit_count() == floor and not graph.is_clique(bits(nbrs | 1 << v)):
+            return v
+    return None
+
+
 def _require_critical(graph: Graph, params: FTParams) -> None:
     if params.c < 3:
         raise ValueError(f"audits require c >= 3, got c = {params.c}")
@@ -100,11 +127,8 @@ def audit_basic(graph: Graph, params: FTParams, *, samples_per_vertex: int = 200
         witness,
     ))
 
-    witness = None
-    for v in range(n):
-        if not has_clique_containing(graph, v, c):
-            witness = {"vertex": v}
-            break
+    v = vertex_in_no_clique(graph, c)
+    witness = None if v is None else {"vertex": v}
     records.append(AuditRecord(
         "vertex-clique",
         f"every vertex lies in some {c}-clique",
@@ -154,14 +178,10 @@ def audit_low_degree_cliques(graph: Graph, params: FTParams) -> AuditReport:
     records: list[AuditRecord] = []
 
     witness = None
-    for v in range(n):
-        if graph.adj[v].bit_count() != floor:
-            continue
-        closed = vertex_tuple(graph.adj[v] | (1 << v))
-        if not graph.is_clique(closed):
-            pair = _non_adjacent_pair(graph, closed)
-            witness = {"vertex": v, "non_adjacent_pair": list(pair)}
-            break
+    v = tight_vertex_with_open_closure(graph, floor)
+    if v is not None:
+        pair = _non_adjacent_pair(graph, vertex_tuple(graph.adj[v] | (1 << v)))
+        witness = {"vertex": v, "non_adjacent_pair": list(pair)}
     records.append(AuditRecord(
         "tight-degree-closed-clique",
         f"every vertex of degree exactly {floor} has a clique closed "
@@ -335,8 +355,9 @@ class RecognitionResult:
 
 def recognize_min_1ft(graph: Graph, p: int, c: int) -> RecognitionResult:
     """Decide minimality for k = 1 structurally: a graph on p*c + 1 vertices
-    is a minimum accepted graph for (1, p, c) exactly when every block is a
-    complete graph on c + 1 vertices. No verification scan is run."""
+    is a minimum accepted graph for (1, p, c) exactly when it is connected
+    and every block is a complete graph on c + 1 vertices. No verification
+    scan is run."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     if c < 3:
@@ -346,6 +367,8 @@ def recognize_min_1ft(graph: Graph, p: int, c: int) -> RecognitionResult:
         return RecognitionResult(
             False, f"order {n} != p*c + 1 = {p * c + 1}"
         )
+    if not is_connected(graph):
+        return RecognitionResult(False, "graph is disconnected")
     decomposition = blocks(graph)
     want_vertices = c + 1
     want_edges = comb(c + 1, 2)

@@ -198,7 +198,9 @@ def _cmd_search_min(args: argparse.Namespace) -> int:
     if args.state and os.path.exists(args.state) and os.path.getsize(args.state):
         with open(args.state, "r", encoding="utf-8") as fh:
             stored = json.load(fh)
-        if stored.get("status") == "complete":
+        if isinstance(stored, dict) and stored.get("status") == "complete":
+            if not isinstance(stored.get("report"), dict):
+                raise ValueError("completed state file lacks its report")
             _emit({"command": "search-min", **stored["report"]})
             return 0
         resume = SearchResume.from_dict(stored)

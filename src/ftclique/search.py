@@ -1,19 +1,25 @@
 """Exhaustive minimum-edge search at the critical order p*c + k.
 
 Candidates are enumerated per work unit (m, d0): graphs with m edges in
-which vertex 0 is adjacent to exactly 1..d0. Every isomorphism class with
-minimum degree delta has such a representative with d0 = delta, so walking
-d0 over [c+k-1, n-1] covers all classes with the forced degree floor;
-duplicates across units are removed by canonical certificate. Units run in
-(m, d0) order and are idempotent, which makes budget interruption and
-resumption safe: a token lists the units still owed.
+which vertex 0 is adjacent to exactly 1..d0 and every vertex has degree at
+least d0. Every isomorphism class with minimum degree delta has such a
+representative with d0 = delta (put a minimum-degree vertex at 0), so
+walking d0 over [c+k-1, n-1] covers all classes with the forced degree
+floor. For c >= 3 each labeled graph then meets the necessary conditions
+from `audit` (tight-degree vertices have clique closed neighborhoods,
+every vertex lies in a c-clique) before it is canonicalized; survivors are
+deduplicated by canonical certificate and verified once per class. Units
+run in (m, d0) order and are idempotent, which makes budget interruption
+and resumption safe: a token lists the units still owed and how far into
+the first one the enumeration got.
 """
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from math import comb
 
+from .audit import tight_vertex_with_open_closure, vertex_in_no_clique
 from .canon import CanonicalForm, canonical_form, canonical_graph
 from .connectivity import is_connected
 from .formats import emit_graph6
@@ -37,7 +43,12 @@ __all__ = [
 ]
 
 EXHAUSTIVE_ORDER_LIMIT = 10
+_MASK_ORDER_LIMIT = 64
 _CHECK_EVERY = 512
+# Resume tokens record a position in the enumerator's stream, so they are
+# only valid for the token format and enumerator that wrote them.
+RESUME_VERSION = 2
+ENUMERATOR_ID = "lex-slots/degree-floor-d0"
 
 
 @dataclass(frozen=True)
@@ -55,6 +66,12 @@ class Budget:
             raise ValueError(f"graphs budget must be >= 1, got {self.graphs}")
 
 
+def _floor_and_lower(params: FTParams) -> tuple[int, int]:
+    """Forced degree floor and the edge count it forces at the critical order."""
+    dmin = degree_floor(params.k, params.c)
+    return dmin, (params.critical_order * dmin + 1) // 2
+
+
 @dataclass(frozen=True)
 class SearchResume:
     """Everything needed to continue an interrupted search.
@@ -62,7 +79,8 @@ class SearchResume:
     pending lists the (edge count, degree-of-vertex-0) work units left,
     first unit possibly part-done: unit_offset graphs of it are already
     counted and must be skipped on resume. graphs_examined is cumulative
-    over all runs.
+    over all runs. Construction rejects, with ValueError, any token that no
+    interrupted search can have written.
     """
 
     k: int
@@ -75,8 +93,56 @@ class SearchResume:
     graphs_examined: int
     unit_offset: int = 0
 
+    def __post_init__(self) -> None:
+        ints = [self.k, self.p, self.c, self.max_edges, self.graphs_examined,
+                self.unit_offset, *(x for unit in self.pending for x in unit),
+                *(cf.n for cf in self.best_certs), *(cf.code for cf in self.best_certs)]
+        if self.best_m is not None:
+            ints.append(self.best_m)
+        if any(type(x) is not int for x in ints):
+            raise ValueError("resume token fields must be integers")
+        params = FTParams(self.k, self.p, self.c)
+        n = params.critical_order
+        if n > _MASK_ORDER_LIMIT:
+            raise ValueError(f"resume token order {n} exceeds {_MASK_ORDER_LIMIT}")
+        if self.unit_offset < 0 or self.graphs_examined < self.unit_offset:
+            raise ValueError(
+                "resume token needs 0 <= unit_offset <= graphs_examined, got "
+                f"{self.unit_offset} and {self.graphs_examined}"
+            )
+        dmin, lower = _floor_and_lower(params)
+        # A solution at best_m means every smaller edge count is done and
+        # every larger one dropped, so only units of best_m edges remain.
+        last_m = self.max_edges if self.best_m is None else self.best_m
+        if self.best_m is not None:
+            pairs = comb(n, 2)
+            if not (lower <= self.best_m <= self.max_edges and self.best_certs and all(
+                    cf.n == n and cf.code >= 0 and cf.code.bit_length() <= pairs
+                    and cf.code.bit_count() == self.best_m for cf in self.best_certs)
+                    and all(m == self.best_m for m, _ in self.pending)):
+                raise ValueError(
+                    f"resume token best_m {self.best_m} disagrees with its "
+                    "certificates or pending units"
+                )
+        elif self.best_certs:
+            raise ValueError("resume token has certificates but no best_m")
+        # Unit (m, d0) sits at index (m - lower) * width + d0 - dmin of the
+        # full list; compare indices so a huge max_edges builds no list.
+        width = n - dmin
+        first = (last_m - lower + 1) * width - len(self.pending)
+        if not self.pending or any(
+                not (lower <= m <= last_m and dmin <= d0 < n)
+                or (m - lower) * width + d0 - dmin != first + i
+                for i, (m, d0) in enumerate(self.pending)):
+            raise ValueError(
+                "resume token pending units are not a non-empty suffix of the "
+                f"(m, d0) units for m in [{lower}, {last_m}], d0 in [{dmin}, {n - 1}]"
+            )
+
     def to_dict(self) -> dict:
         return {
+            "version": RESUME_VERSION,
+            "enumerator": ENUMERATOR_ID,
             "k": self.k,
             "p": self.p,
             "c": self.c,
@@ -90,19 +156,30 @@ class SearchResume:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SearchResume":
-        return cls(
-            k=data["k"],
-            p=data["p"],
-            c=data["c"],
-            max_edges=data["max_edges"],
-            pending=tuple((m, d0) for m, d0 in data["pending"]),
-            best_m=data["best_m"],
-            best_certs=tuple(
-                CanonicalForm(n, int(code, 16)) for n, code in data["best_certs"]
-            ),
-            graphs_examined=data["graphs_examined"],
-            unit_offset=data.get("unit_offset", 0),
-        )
+        """Rebuild a token from to_dict output; ValueError on anything else."""
+        if not isinstance(data, dict):
+            raise ValueError("resume token must be a JSON object")
+        written_by = (data.get("version"), data.get("enumerator"))
+        if written_by != (RESUME_VERSION, ENUMERATOR_ID):
+            raise ValueError(
+                f"resume token has version and enumerator {written_by}, not "
+                f"{(RESUME_VERSION, ENUMERATOR_ID)}; start the search afresh"
+            )
+        names = [f.name for f in fields(cls)]
+        missing = [name for name in names if name not in data]
+        if missing:
+            raise ValueError(f"resume token lacks {', '.join(missing)}")
+        values = {name: data[name] for name in names}
+        try:
+            values["pending"] = tuple((m, d0) for m, d0 in data["pending"])
+            values["best_certs"] = tuple(CanonicalForm(n, int(code, 16))
+                                         for n, code in data["best_certs"])
+        except (TypeError, ValueError):
+            raise ValueError(
+                "resume token pending must hold [m, d0] pairs and best_certs "
+                "[n, hex code] pairs"
+            ) from None
+        return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -119,6 +196,14 @@ class SearchReport:
     elapsed: float
     resume: SearchResume | None
     notes: tuple[str, ...] = field(default=())
+    # Work counts of this call alone (graphs_examined is cumulative over
+    # resumed runs): labeled_graphs taken from the enumerator, a resumed
+    # unit's skipped prefix excluded; each is either rejected by one
+    # necessary condition (rejected, keyed by the audit check id) or
+    # canonicalized (canonical_forms). new_classes of those were unseen at
+    # their edge count, verify_calls of those were verified (the
+    # connectivity prune skips disconnected ones), and accepted of those hold.
+    stats: dict = field(default_factory=dict, compare=False)
 
     def exemplar_graphs(self) -> list[Graph]:
         return [canonical_graph(cf) for cf in self.exemplars]
@@ -139,6 +224,7 @@ class SearchReport:
             "elapsed_seconds": round(self.elapsed, 3),
             "resume": None if self.resume is None else self.resume.to_dict(),
             "notes": list(self.notes),
+            "stats": self.stats,
         }
 
 
@@ -217,19 +303,20 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
     with a solution, and reports every solution at that m as a canonical
     certificate. With a budget the run may stop early, in which case the
     report carries a resume token; resumed runs reproduce exactly the
-    unbudgeted result.
+    unbudgeted result. Every labeled graph enumerated counts towards
+    graphs_examined and the graphs budget, including those the necessary
+    conditions reject before canonicalization.
     """
     k, p, c = params.k, params.p, params.c
     n = params.critical_order
-    if n > 64:
-        raise ValueError(f"search supports order <= 64, got {n}")
+    if n > _MASK_ORDER_LIMIT:
+        raise ValueError(f"search supports order <= {_MASK_ORDER_LIMIT}, got {n}")
     if n > EXHAUSTIVE_ORDER_LIMIT and not allow_large:
         raise ValueError(
             f"order {n} exceeds the exhaustive regime "
             f"(<= {EXHAUSTIVE_ORDER_LIMIT}); pass allow_large=True to force"
         )
-    dmin = degree_floor(k, c)
-    lower = (n * dmin + 1) // 2
+    dmin, lower = _floor_and_lower(params)
     bound = hub_edge_bound(k, p, c)
 
     if resume is not None:
@@ -267,9 +354,14 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
             return True
         return False
 
+    # Both the filter and the connectivity prune rest on c >= 3 (the audits'
+    # premise); below it they could discard accepted graphs.
+    filtered = c >= 3
     connectivity_prune = k >= 1 and c >= 3
+    rejected_tight = rejected_clique = 0
+    new_classes = verify_calls = accepted = 0
     examined = durable
-    seen: dict[CanonicalForm, bool] = {}
+    seen: set[CanonicalForm] = set()
     seen_m: int | None = None
     resume_offset = offset
 
@@ -281,9 +373,9 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
         if over_budget(examined):
             break
         if seen_m != m:
-            seen = {}
+            seen = set()
             seen_m = m
-        it = _iter_adjacencies(n, m, dmin, d0)
+        it = _iter_adjacencies(n, m, d0, d0)
         pos = 0
         # Graphs before the offset were processed by an earlier run and are
         # already in the durable count; skip without recounting.
@@ -293,16 +385,22 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
         aborted = False
         for adj in it:
             g = Graph._from_adj(n, adj)
-            cert = canonical_form(g)
-            if cert not in seen:
-                holds = False
-                if not connectivity_prune or is_connected(g):
-                    holds = verify_ft(g, params).holds
-                seen[cert] = holds
-                if holds:
-                    if best_m is None:
-                        best_m = m
-                    best_certs.add(cert)
+            if filtered and tight_vertex_with_open_closure(g, dmin) is not None:
+                rejected_tight += 1
+            elif filtered and vertex_in_no_clique(g, c) is not None:
+                rejected_clique += 1
+            else:
+                cert = canonical_form(g)
+                if cert not in seen:
+                    seen.add(cert)
+                    new_classes += 1
+                    if not connectivity_prune or is_connected(g):
+                        verify_calls += 1
+                        if verify_ft(g, params).holds:
+                            accepted += 1
+                            if best_m is None:
+                                best_m = m
+                            best_certs.add(cert)
             pos += 1
             examined += 1
             if examined % _CHECK_EVERY == 0 and over_budget(examined):
@@ -353,6 +451,17 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
         elapsed=time.monotonic() - start,
         resume=token,
         notes=tuple(notes),
+        stats={
+            "labeled_graphs": examined - baseline,
+            "rejected": {
+                "tight-degree-closed-clique": rejected_tight,
+                "vertex-clique": rejected_clique,
+            },
+            "canonical_forms": examined - baseline - rejected_tight - rejected_clique,
+            "new_classes": new_classes,
+            "verify_calls": verify_calls,
+            "accepted": accepted,
+        },
     )
 
 
@@ -390,17 +499,4 @@ def probe_conjecture(k: int, p: int, c: int, budget: Budget | None = None,
             )
     elif report.minimum_found == report.target_bound:
         notes.append("bound confirmed tight at these parameters")
-    return SearchReport(
-        params=report.params,
-        n=report.n,
-        lower_bound=report.lower_bound,
-        target_bound=report.target_bound,
-        max_edges=report.max_edges,
-        minimum_found=report.minimum_found,
-        exemplars=report.exemplars,
-        graphs_examined=report.graphs_examined,
-        exhaustive=report.exhaustive,
-        elapsed=report.elapsed,
-        resume=report.resume,
-        notes=tuple(notes),
-    )
+    return replace(report, notes=tuple(notes))

@@ -204,3 +204,31 @@ def all_graphs_with_edges(n: int, m: int, min_degree: int = 0):
         if min_degree and min(deg) < min_degree:
             continue
         yield Graph(n, [pairs[i] for i in chosen])
+
+
+def search_minimum_reference(params):
+    """Unfiltered minimum-edge search: (minimum, exemplar certificates).
+
+    The search as first written: every m-edge graph with N(0) = {1..d0}
+    and minimum degree c + k - 1 (not d0) is canonicalized, and every new
+    class is verified, with no necessary-condition filter or connectivity
+    prune. The library search must find the same minimum and classes.
+    """
+    from ftclique import canonical_form, degree_floor, hub_edge_bound, verify_ft
+    from ftclique.search import _iter_adjacencies
+
+    n = params.critical_order
+    dmin = degree_floor(params.k, params.c)
+    for m in range((n * dmin + 1) // 2, hub_edge_bound(params.k, params.p, params.c) + 1):
+        seen, found = set(), set()
+        for d0 in range(dmin, n):
+            for adj in _iter_adjacencies(n, m, dmin, d0):
+                g = Graph._from_adj(n, adj)
+                cert = canonical_form(g)
+                if cert not in seen:
+                    seen.add(cert)
+                    if verify_ft(g, params).holds:
+                        found.add(cert)
+        if found:
+            return m, found
+    return None, set()

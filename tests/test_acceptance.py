@@ -140,12 +140,12 @@ def test_bound_tightness_probe_2_2_3():
     started = time.monotonic()
     # Deliberately undersized budget: the run must interrupt, hand back a
     # serializable token, and finish across resumed invocations.
-    report = probe_conjecture(2, 2, 3, Budget(graphs=60000))
+    report = probe_conjecture(2, 2, 3, Budget(graphs=12000))
     hops = 1
     assert report.resume is not None, "budget did not interrupt the run"
     while report.resume is not None:
         token = type(report.resume).from_dict(report.resume.to_dict())
-        report = probe_conjecture(2, 2, 3, Budget(graphs=60000), resume=token)
+        report = probe_conjecture(2, 2, 3, Budget(graphs=12000), resume=token)
         hops += 1
         assert hops < 50
     assert report.minimum_found == 19

@@ -18,9 +18,12 @@ from ftclique import (
     size_k_separators,
     star_construction,
     tree_of_cliques,
+    canonical_form,
+    disjoint_union,
     verify_ft,
 )
-from helpers import random_graph
+from ftclique.search import _iter_adjacencies
+from helpers import all_graphs_with_edges, random_graph
 
 
 def test_audit_basic_passes_on_hub_families():
@@ -168,6 +171,44 @@ def test_recognize_glued_trees():
     assert recognize_min_1ft(g, 3, 3)
     h = tree_of_cliques(1, 4, TreeTemplate.star(3, 1, slots=(2,)))
     assert recognize_min_1ft(h, 3, 4)
+
+
+def test_recognize_rejects_disconnected_graphs():
+    # four K4s: 16 = 5*3 + 1 vertices and every block a K4, but a deletion
+    # inside one K4 leaves room for only four triangles
+    g = complete_graph(4)
+    for _ in range(3):
+        g = disjoint_union(g, complete_graph(4))
+    assert not verify_ft(g, FTParams(1, 5, 3)).holds
+    result = recognize_min_1ft(g, 5, 3)
+    assert not result.accepted
+    assert "disconnected" in result.explanation
+
+
+def _graph_classes(n, m):
+    """One graph per isomorphism class with n vertices and m edges."""
+    classes = {}
+    for d0 in range(n):
+        for adj in _iter_adjacencies(n, m, d0, d0):
+            g = Graph._from_adj(n, adj)
+            classes.setdefault(canonical_form(g), g)
+    return classes.values()
+
+
+@pytest.mark.parametrize("p,c,graphs", [
+    (1, 3, lambda: (g for m in range(7) for g in all_graphs_with_edges(4, m))),
+    (1, 4, lambda: (g for m in range(11) for g in all_graphs_with_edges(5, m))),
+    (2, 3, lambda: (g for m in (12, 13) for g in _graph_classes(7, m))),
+], ids=["all-n4", "all-n5", "classes-n7"])
+def test_recognizer_matches_verification_on_enumerated_graphs(p, c, graphs):
+    params = FTParams(1, p, c)
+    bound = hub_edge_bound(1, p, c)
+    accepted = 0
+    for g in graphs():
+        expected = g.edge_count == bound and verify_ft(g, params).holds
+        assert bool(recognize_min_1ft(g, p, c)) == expected, g.edges()
+        accepted += expected
+    assert accepted >= 1
 
 
 def test_recognize_parameter_validation():

@@ -174,11 +174,57 @@ def test_search_min_with_state(tmp_path, capsys):
     assert report["minimum_found"] == 12
 
 
+@pytest.mark.parametrize("stored", [
+    {"k": 2, "p": 2},
+    [1, 2],
+    {"status": "complete"},
+], ids=["missing-keys", "not-an-object", "complete-without-report"])
+def test_search_min_rejects_malformed_state(tmp_path, capsys, stored):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(stored))
+    code, out, err = run(capsys, "search-min", "--k", "2", "--p", "2", "--c", "3",
+                         "--state", str(state))
+    assert code == 2
+    assert out == ""
+    assert "error" in json.loads(err)
+
+
+def _interrupted_state(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    code, _, _ = run(capsys, "search-min", "--k", "2", "--p", "2", "--c", "3",
+                     "--budget-graphs", "600", "--state", str(state))
+    assert code == 2
+    return state, json.loads(state.read_text())
+
+
+def test_search_min_rejects_empty_pending(tmp_path, capsys):
+    # an empty unit list used to replay as an exhaustive search that
+    # found nothing, for parameters whose minimum is 19
+    state, stored = _interrupted_state(tmp_path, capsys)
+    state.write_text(json.dumps({**stored, "pending": []}))
+    code, out, err = run(capsys, "search-min", "--k", "2", "--p", "2", "--c", "3",
+                         "--state", str(state))
+    assert code == 2
+    assert out == ""
+    assert "pending" in json.loads(err)["error"]
+
+
+def test_search_min_rejects_unversioned_state(tmp_path, capsys):
+    state, stored = _interrupted_state(tmp_path, capsys)
+    del stored["version"]
+    state.write_text(json.dumps(stored))
+    code, out, err = run(capsys, "search-min", "--k", "2", "--p", "2", "--c", "3",
+                         "--state", str(state))
+    assert code == 2
+    assert "version" in json.loads(err)["error"]
+
+
 def test_search_min_without_state(capsys):
     code, report, _ = run_json(capsys, "search-min", "--k", "2", "--p", "1", "--c", "3")
     assert code == 0
     assert report["minimum_found"] == 10
     assert report["exhaustive"] is True
+    assert report["stats"]["accepted"] == 1
 
 
 def test_props_command(tmp_path, capsys):

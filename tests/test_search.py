@@ -1,5 +1,7 @@
 """Exhaustive minimum-edge search with budgets and resume tokens."""
 
+from dataclasses import replace
+
 import pytest
 
 from ftclique import (
@@ -15,7 +17,15 @@ from ftclique import (
     verify_ft,
 )
 from ftclique.graphs import mask_of
-from helpers import all_graphs_with_edges
+from helpers import all_graphs_with_edges, search_minimum_reference
+
+# Every parameter set with critical order p*c + k <= 8 (41 of them).
+SMALL_PARAMS = [
+    (k, p, c)
+    for c in range(2, 9)
+    for p in range(1, 8 // c + 1)
+    for k in range(0, 8 - p * c + 1)
+]
 
 
 def test_single_clique_parameters_force_complete_graphs():
@@ -79,6 +89,27 @@ def test_restricted_enumeration_is_complete():
     assert unrestricted == set(report.exemplars)
 
 
+@pytest.mark.parametrize("k,p,c", SMALL_PARAMS)
+def test_search_matches_unfiltered_reference(k, p, c):
+    params = FTParams(k, p, c)
+    report = search_minimum(params)
+    minimum, exemplars = search_minimum_reference(params)
+    assert report.exhaustive
+    assert report.minimum_found == minimum
+    assert set(report.exemplars) == exemplars
+
+
+def test_filter_rejects_before_canonical_forms():
+    report = search_minimum(FTParams(2, 2, 3))
+    stats = report.stats
+    assert report.graphs_examined == stats["labeled_graphs"] == 46328
+    assert sum(stats["rejected"].values()) + stats["canonical_forms"] == 46328
+    assert set(stats["rejected"]) == {"tight-degree-closed-clique", "vertex-clique"}
+    assert stats["canonical_forms"] == 6
+    assert stats["new_classes"] == stats["verify_calls"] == stats["accepted"] == 1
+    assert report.to_dict()["stats"] == stats
+
+
 def test_order_guard():
     with pytest.raises(ValueError):
         search_minimum(FTParams(1, 4, 3))  # 13 vertices needs allow_large
@@ -119,12 +150,84 @@ def test_resume_token_round_trips_through_json():
     assert resumed.minimum_found == 12
 
 
+def _token_dict(params=FTParams(1, 2, 3), graphs=10):
+    token = search_minimum(params, budget=Budget(graphs=graphs)).resume
+    assert token is not None
+    return token.to_dict()
+
+
+def test_resume_token_carries_version_and_enumerator():
+    data = _token_dict()
+    assert data["version"] == 2
+    assert isinstance(data["enumerator"], str)
+    for key in ("version", "enumerator"):
+        stale = dict(data)
+        del stale[key]
+        with pytest.raises(ValueError):
+            SearchResume.from_dict(stale)
+    with pytest.raises(ValueError):
+        SearchResume.from_dict({**data, "version": 1})
+
+
+@pytest.mark.parametrize("change", [
+    pytest.param({"pending": []}, id="no-pending"),
+    pytest.param({"pending": [[12, 3]]}, id="pending-not-a-suffix"),
+    pytest.param({"pending": [[12, 9]]}, id="pending-unit-out-of-range"),
+    pytest.param({"pending": [[12, "3"]]}, id="pending-text-degree"),
+    pytest.param({"pending": [12, 3]}, id="pending-flat"),
+    pytest.param({"pending": None}, id="pending-null"),
+    pytest.param({"max_edges": 10 ** 12}, id="huge-max-edges"),
+    pytest.param({"unit_offset": -1}, id="negative-offset"),
+    pytest.param({"graphs_examined": -5}, id="negative-examined"),
+    pytest.param({"graphs_examined": True}, id="boolean-examined"),
+    pytest.param({"k": "1"}, id="text-k"),
+    pytest.param({"p": 0}, id="invalid-p"),
+    pytest.param({"best_m": 12}, id="best-m-without-certificates"),
+    pytest.param({"best_certs": [[7, "3f"]]}, id="certificates-without-best-m"),
+    pytest.param({"best_certs": [[7, "zz"]]}, id="certificate-not-hex"),
+    pytest.param({"best_certs": [7]}, id="certificate-not-a-pair"),
+])
+def test_malformed_resume_tokens_are_rejected(change):
+    data = {**_token_dict(), **change}
+    with pytest.raises(ValueError):
+        SearchResume.from_dict(data)
+
+
+def test_resume_token_best_m_must_match_its_certificates():
+    params = FTParams(1, 2, 3)
+    cert = search_minimum(params).exemplars[0]
+    data = _token_dict(params)
+    # a search that found its minimum 12 keeps only units of 12 edges
+    good = {**data, "pending": [[12, 6]], "best_m": 12,
+            "best_certs": [[cert.n, format(cert.code, "x")]]}
+    assert SearchResume.from_dict(good).best_m == 12
+    for bad in ({"best_m": 11},
+                {"pending": data["pending"]},
+                {"best_certs": [[8, format(cert.code, "x")]]},
+                {"best_certs": [[cert.n, format(cert.code & (cert.code - 1), "x")]]}):
+        with pytest.raises(ValueError):
+            SearchResume.from_dict({**good, **bad})
+
+
+def test_resume_token_missing_fields_are_rejected():
+    data = _token_dict()
+    for key in ("k", "pending", "best_m", "unit_offset"):
+        partial = dict(data)
+        del partial[key]
+        with pytest.raises(ValueError, match=key):
+            SearchResume.from_dict(partial)
+    with pytest.raises(ValueError):
+        SearchResume.from_dict([data])
+
+
 def test_resume_parameter_mismatch():
     partial = search_minimum(FTParams(1, 2, 3), budget=Budget(graphs=10))
     with pytest.raises(ValueError):
         search_minimum(FTParams(2, 2, 3), resume=partial.resume)
     with pytest.raises(ValueError):
         search_minimum(FTParams(1, 2, 3), max_edges=11, resume=partial.resume)
+    with pytest.raises(ValueError):
+        search_minimum(FTParams(1, 2, 3), resume=replace(partial.resume, pending=()))
 
 
 def test_max_edges_cutoff_reports_nothing_found():
@@ -141,6 +244,7 @@ def test_report_serialization():
     assert data["k"] == 1 and data["p"] == 2 and data["c"] == 3
     assert isinstance(data["exemplars"][0], str)
     assert data["resume"] is None
+    assert data["stats"]["labeled_graphs"] == report.graphs_examined
 
 
 def test_probe_regime_guards():
