@@ -20,9 +20,7 @@ from .audit import (
 )
 from .blocks import BlockDecomposition, blocks
 from .canon import (
-    DEFAULT_SIZE_LIMIT,
     CanonicalForm,
-    SizeLimitError,
     canonical_form,
     canonical_graph,
     canonical_labeling,
@@ -47,7 +45,6 @@ from .construct import (
     tree_of_cliques,
 )
 from .formats import (
-    GraphDocument,
     detect_format,
     emit_edge_list,
     emit_graph,
@@ -97,17 +94,14 @@ __all__ = [
     "CliquePacking",
     "CliqueTree",
     "ConnectivityInfo",
-    "DEFAULT_SIZE_LIMIT",
     "FTParams",
     "FTVerdict",
     "Graph",
-    "GraphDocument",
     "MinimumCandidacy",
     "OracleBudgetError",
     "RecognitionResult",
     "SearchReport",
     "SearchResume",
-    "SizeLimitError",
     "TreeTemplate",
     "audit_basic",
     "audit_low_degree_cliques",

@@ -10,6 +10,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import Iterator
 
 from .blocks import blocks
 from .connectivity import component_masks, is_connected
@@ -173,7 +174,6 @@ def audit_low_degree_cliques(graph: Graph, params: FTParams) -> AuditReport:
     separators leaving an order-c component seal it into a (k+c)-clique."""
     _require_critical(graph, params)
     k, c = params.k, params.c
-    n = graph.n
     floor = degree_floor(k, c)
     records: list[AuditRecord] = []
 
@@ -190,17 +190,9 @@ def audit_low_degree_cliques(graph: Graph, params: FTParams) -> AuditReport:
         witness,
     ))
 
-    if comb(n, k) > _SWEEP_CAP:
-        raise ValueError(
-            f"separator sweep needs C({n}, {k}) subsets; cap is {_SWEEP_CAP}"
-        )
     witness = None
-    full = graph.full_mask
-    for w in combinations(range(n), k):
+    for w, comps in _separations(graph, k):
         w_mask = mask_of(w)
-        comps = component_masks(graph.adj, full & ~w_mask)
-        if len(comps) < 2:
-            continue
         for comp in comps:
             if comp.bit_count() != c:
                 continue
@@ -232,22 +224,26 @@ def _non_adjacent_pair(graph: Graph, vertices: tuple[int, ...]) -> tuple[int, in
     raise AssertionError("called on a clique")
 
 
-def size_k_separators(graph: Graph, k: int) -> list[tuple[int, ...]]:
-    """All k-subsets whose removal leaves a disconnected graph."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+def _separations(graph: Graph, k: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Yield (W, component masks) for every k-subset W, in lexicographic
+    order, whose removal leaves at least two components."""
     n = graph.n
     if comb(n, k) > _SWEEP_CAP:
         raise ValueError(
             f"separator sweep needs C({n}, {k}) subsets; cap is {_SWEEP_CAP}"
         )
     full = graph.full_mask
-    out = []
     for w in combinations(range(n), k):
-        remaining = full & ~mask_of(w)
-        if remaining and len(component_masks(graph.adj, remaining)) >= 2:
-            out.append(w)
-    return out
+        comps = component_masks(graph.adj, full & ~mask_of(w))
+        if len(comps) >= 2:
+            yield w, comps
+
+
+def size_k_separators(graph: Graph, k: int) -> list[tuple[int, ...]]:
+    """All k-subsets whose removal leaves a disconnected graph."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    return [w for w, _ in _separations(graph, k)]
 
 
 def audit_separator(graph: Graph, params: FTParams, separator) -> AuditReport:

@@ -2,7 +2,7 @@
 
 Degree/color refinement plus individualization backtracking produces a
 certificate (n, code) that is equal for two graphs exactly when they are
-isomorphic. Intended for the search regime; guarded by a size limit.
+isomorphic. Intended for the search regime.
 """
 
 from dataclasses import dataclass
@@ -10,20 +10,11 @@ from dataclasses import dataclass
 from .graphs import Graph, bits
 
 __all__ = [
-    "DEFAULT_SIZE_LIMIT",
-    "SizeLimitError",
     "CanonicalForm",
     "canonical_form",
     "canonical_labeling",
     "canonical_graph",
 ]
-
-DEFAULT_SIZE_LIMIT = 16
-
-
-class SizeLimitError(ValueError):
-    """Raised when a graph exceeds the configured canonicalization limit."""
-
 
 @dataclass(frozen=True, order=True)
 class CanonicalForm:
@@ -150,22 +141,14 @@ def _canonize(graph: Graph) -> tuple[int, tuple[int, ...]]:
     return best["code"], best["perm"]  # type: ignore[return-value]
 
 
-def canonical_form(graph: Graph, limit: int = DEFAULT_SIZE_LIMIT) -> CanonicalForm:
+def canonical_form(graph: Graph) -> CanonicalForm:
     """Certificate equal across all relabelings of the graph, and only those."""
-    if graph.n > limit:
-        raise SizeLimitError(
-            f"canonical form limited to n <= {limit}; got n = {graph.n}"
-        )
     code, _ = _canonize(graph)
     return CanonicalForm(graph.n, code)
 
 
-def canonical_labeling(graph: Graph, limit: int = DEFAULT_SIZE_LIMIT) -> tuple[int, ...]:
+def canonical_labeling(graph: Graph) -> tuple[int, ...]:
     """perm with perm[i] = input vertex placed at canonical position i."""
-    if graph.n > limit:
-        raise SizeLimitError(
-            f"canonical form limited to n <= {limit}; got n = {graph.n}"
-        )
     _, perm = _canonize(graph)
     return perm
 

@@ -47,7 +47,7 @@ def _read_text(path: str | None) -> str:
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
-    return parse_graph(_read_text(args.file), args.format).graph
+    return parse_graph(_read_text(args.file), args.format)
 
 
 def _emit(obj: dict) -> None:
@@ -204,10 +204,7 @@ def _cmd_search_min(args: argparse.Namespace) -> int:
             _emit({"command": "search-min", **stored["report"]})
             return 0
         resume = SearchResume.from_dict(stored)
-    report = search_minimum(
-        params, args.max_edges, budget,
-        allow_large=args.allow_large, resume=resume,
-    )
+    report = search_minimum(params, args.max_edges, budget, resume=resume)
     _emit({"command": "search-min", **report.to_dict()})
     if args.state:
         with open(args.state, "w", encoding="utf-8") as fh:
@@ -307,8 +304,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--budget-graphs", type=int, default=None)
     sub.add_argument("--state", default=None,
                      help="JSON file for resume tokens; reused across runs")
-    sub.add_argument("--allow-large", action="store_true",
-                     help="permit orders beyond the exhaustive regime")
     sub.set_defaults(func=_cmd_search_min)
 
     sub = subs.add_parser("props", help="degrees, connectivity, blocks, chordality")

@@ -7,12 +7,9 @@ upper triangle of the adjacency matrix read column by column, packed into
 padding and trailing garbage are rejected.
 """
 
-from dataclasses import dataclass
-
 from .graphs import Graph
 
 __all__ = [
-    "GraphDocument",
     "parse_edge_list",
     "emit_edge_list",
     "parse_graph6",
@@ -23,15 +20,6 @@ __all__ = [
 ]
 
 _G6_HEADER = ">>graph6<<"
-
-
-@dataclass(frozen=True)
-class GraphDocument:
-    """A parsed graph together with where it came from."""
-
-    format: str
-    payload: str
-    graph: Graph
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -178,13 +166,13 @@ def detect_format(text: str) -> str:
     return "edge-list" if stripped[0].isdigit() else "graph6"
 
 
-def parse_graph(text: str, fmt: str = "auto") -> GraphDocument:
+def parse_graph(text: str, fmt: str = "auto") -> Graph:
     if fmt == "auto":
         fmt = detect_format(text)
     if fmt == "edge-list":
-        return GraphDocument(fmt, text, parse_edge_list(text))
+        return parse_edge_list(text)
     if fmt == "graph6":
-        return GraphDocument(fmt, text, parse_graph6(text))
+        return parse_graph6(text)
     raise ValueError(f"unknown graph format {fmt!r}")
 
 

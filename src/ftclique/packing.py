@@ -39,21 +39,25 @@ def _check_params(p: int, c: int) -> None:
         raise ValueError(f"c must be >= 2, got {c}")
 
 
-def find_disjoint_cliques(graph: Graph, p: int, c: int) -> CliquePacking | None:
+def find_disjoint_cliques(graph: Graph, p: int, c: int,
+                          allowed: int | None = None) -> CliquePacking | None:
     """First packing of p disjoint c-cliques in lexicographic order, or None.
 
-    Backtracking over masks with three prunings: when n == p*c the least
-    available vertex must be covered, so cliques are anchored there; any
-    available vertex with fewer than c-1 available neighbors is discarded
-    (or dooms the branch in the perfect case); branches with fewer
-    available vertices than demanded are cut.
+    Only vertices in the `allowed` mask (default: all) are used, so the
+    result equals packing the induced subgraph on them and mapping back.
+    Backtracking over masks with three prunings: when the pool holds
+    exactly p*c vertices the least available vertex must be covered, so
+    cliques are anchored there; any available vertex with fewer than c-1
+    available neighbors is discarded (or dooms the branch in the perfect
+    case); branches with fewer available vertices than demanded are cut.
     """
     _check_params(p, c)
-    n = graph.n
-    if p * c > n:
+    pool = graph.full_mask if allowed is None else allowed & graph.full_mask
+    size = pool.bit_count()
+    if p * c > size:
         return None
     adj = graph.adj
-    perfect = p * c == n
+    perfect = p * c == size
     need_nbrs = c - 1
     chosen: list[int] = []
 
@@ -100,7 +104,7 @@ def find_disjoint_cliques(graph: Graph, p: int, c: int) -> CliquePacking | None:
                 return True
         return False
 
-    if place(graph.full_mask, p):
+    if place(pool, p):
         return CliquePacking(tuple(vertex_tuple(m) for m in chosen))
     return None
 

@@ -39,10 +39,8 @@ __all__ = [
     "SearchReport",
     "search_minimum",
     "probe_conjecture",
-    "EXHAUSTIVE_ORDER_LIMIT",
 ]
 
-EXHAUSTIVE_ORDER_LIMIT = 10
 _MASK_ORDER_LIMIT = 64
 _CHECK_EVERY = 512
 # Resume tokens record a position in the enumerator's stream, so they are
@@ -295,7 +293,7 @@ def _iter_adjacencies(n: int, m: int, dmin: int, d0: int):
 
 
 def search_minimum(params: FTParams, max_edges: int | None = None,
-                   budget: Budget | None = None, *, allow_large: bool = False,
+                   budget: Budget | None = None, *,
                    resume: SearchResume | None = None) -> SearchReport:
     """Smallest edge count admitting an accepted graph on p*c + k vertices.
 
@@ -311,11 +309,6 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
     n = params.critical_order
     if n > _MASK_ORDER_LIMIT:
         raise ValueError(f"search supports order <= {_MASK_ORDER_LIMIT}, got {n}")
-    if n > EXHAUSTIVE_ORDER_LIMIT and not allow_large:
-        raise ValueError(
-            f"order {n} exceeds the exhaustive regime "
-            f"(<= {EXHAUSTIVE_ORDER_LIMIT}); pass allow_large=True to force"
-        )
     dmin, lower = _floor_and_lower(params)
     bound = hub_edge_bound(k, p, c)
 
@@ -466,8 +459,7 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
 
 
 def probe_conjecture(k: int, p: int, c: int, budget: Budget | None = None,
-                     *, resume: SearchResume | None = None,
-                     allow_large: bool = False) -> SearchReport:
+                     *, resume: SearchResume | None = None) -> SearchReport:
     """Test whether the hub bound is the true minimum for k >= 2, k < c.
 
     Searches up to the bound; finding it confirms tightness for these
@@ -482,8 +474,7 @@ def probe_conjecture(k: int, p: int, c: int, budget: Budget | None = None,
             f"otherwise), got k = {k}, c = {c}"
         )
     params = FTParams(k, p, c)
-    report = search_minimum(params, None, budget, resume=resume,
-                            allow_large=allow_large)
+    report = search_minimum(params, None, budget, resume=resume)
     notes = list(report.notes)
     if report.minimum_found is not None and report.minimum_found < report.target_bound:
         confirmations = []

@@ -7,13 +7,12 @@ exactly-k deletion on the same surviving vertices, and clique packings
 survive taking supergraphs.
 """
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 from math import comb
 
-from .graphs import Graph
+from .graphs import Graph, mask_of
 from .packing import CliquePacking, find_disjoint_cliques, oracle_packing_exists
 
 __all__ = [
@@ -83,42 +82,25 @@ def degree_floor(k: int, c: int) -> int:
     return c + k - 1
 
 
-def _translate(packing: CliquePacking, kept: tuple[int, ...]) -> CliquePacking:
-    return CliquePacking(
-        tuple(tuple(kept[v] for v in clique) for clique in packing.cliques)
-    )
+def _scan(args: tuple) -> tuple[int | None, tuple[int, ...] | None,
+                                list[tuple[int, tuple[int, ...], CliquePacking]]]:
+    """Check the k-subsets of lexicographic rank lo..hi-1 in order.
 
-
-def _check_subset(graph: Graph, subset: tuple[int, ...], p: int, c: int,
-                  critical: bool) -> CliquePacking | None:
-    """Packing surviving the deletion, in original labels, or None."""
-    sub, kept = graph.remove_vertices(subset)
-    if critical:
-        # With exactly p*c survivors a packing covers everything, so each
-        # survivor needs c-1 surviving neighbors; testing degrees first
-        # rejects most failures without running the backtracker.
-        floor = c - 1
-        if any(a.bit_count() < floor for a in sub.adj):
-            return None
-    packing = find_disjoint_cliques(sub, p, c)
-    if packing is None:
-        return None
-    return _translate(packing, kept)
-
-
-def _scan_chunk(args: tuple) -> tuple[int | None, tuple[int, ...] | None,
-                                      list[tuple[int, tuple[int, ...], CliquePacking]]]:
-    n, adj, k, p, c, critical, lo, hi, max_witnesses = args
-    graph = Graph._from_adj(n, adj)
+    Returns (first failing rank, its subset, witnesses), the first two None
+    when every subset survives; witnesses are (rank, subset, packing) for
+    surviving ranks below max_witnesses. Each packing is searched on the
+    original labels inside the mask of survivors.
+    """
+    graph, k, p, c, lo, hi, max_witnesses = args
+    full = graph.full_mask
     witnesses: list[tuple[int, tuple[int, ...], CliquePacking]] = []
-    rank = lo
-    for subset in islice(combinations(range(n), k), lo, hi):
-        packing = _check_subset(graph, subset, p, c, critical)
+    subsets = islice(combinations(range(graph.n), k), lo, hi)
+    for rank, subset in enumerate(subsets, lo):
+        packing = find_disjoint_cliques(graph, p, c, full & ~mask_of(subset))
         if packing is None:
             return rank, subset, witnesses
         if rank < max_witnesses:
             witnesses.append((rank, subset, packing))
-        rank += 1
     return None, None, witnesses
 
 
@@ -148,9 +130,8 @@ def verify_ft(graph: Graph, params: FTParams, *, max_witnesses: int = 0,
             reason=f"graph has {n} vertices but p*c + k = {params.critical_order} are required",
         )
 
-    critical = n == params.critical_order
     prescreen: str | None = None
-    if critical and c >= 3:
+    if n == params.critical_order and c >= 3:
         floor = degree_floor(k, c)
         for v in range(n):
             d = graph.adj[v].bit_count()
@@ -162,34 +143,23 @@ def verify_ft(graph: Graph, params: FTParams, *, max_witnesses: int = 0,
                 break
 
     total = comb(n, k)
+    if jobs > 1 and total >= _PARALLEL_THRESHOLD:
+        jobs = min(jobs, total)
+        step = -(-total // (jobs * 4))
+        payload = [(graph, k, p, c, lo, min(lo + step, total), max_witnesses)
+                   for lo in range(0, total, step)]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_scan, payload))
+    else:
+        results = [_scan((graph, k, p, c, 0, total, max_witnesses))]
+
     fail_rank: int | None = None
     fail_subset: tuple[int, ...] | None = None
     collected: list[tuple[int, tuple[int, ...], CliquePacking]] = []
-
-    if jobs > 1 and total >= _PARALLEL_THRESHOLD:
-        jobs = min(jobs, total)
-        chunks = max(jobs * 4, 1)
-        step = (total + chunks - 1) // chunks
-        ranges = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-        payload = [
-            (n, graph.adj, k, p, c, critical, lo, hi, max_witnesses if want else 0)
-            for lo, hi in ranges
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for rank, subset, wit in pool.map(_scan_chunk, payload):
-                collected.extend(wit)
-                if rank is not None and (fail_rank is None or rank < fail_rank):
-                    fail_rank, fail_subset = rank, subset
-    else:
-        rank = 0
-        for subset in combinations(range(n), k):
-            packing = _check_subset(graph, subset, p, c, critical)
-            if packing is None:
-                fail_rank, fail_subset = rank, subset
-                break
-            if want and rank < max_witnesses:
-                collected.append((rank, subset, packing))
-            rank += 1
+    for rank, subset, wit in results:
+        collected.extend(wit)
+        if rank is not None and (fail_rank is None or rank < fail_rank):
+            fail_rank, fail_subset = rank, subset
 
     if fail_rank is not None:
         witnesses = None

@@ -232,3 +232,40 @@ def search_minimum_reference(params):
         if found:
             return m, found
     return None, set()
+
+
+def packing_after_deletion_reference(g: Graph, p: int, c: int, deleted):
+    """Relabel, pack and translate: the packing of the graph left by
+    deleting `deleted`, searched on a relabeled copy of the survivors and
+    mapped back to the original labels."""
+    from ftclique import CliquePacking, find_disjoint_cliques
+
+    sub, kept = g.remove_vertices(deleted)
+    packing = find_disjoint_cliques(sub, p, c)
+    if packing is None:
+        return None
+    return CliquePacking(tuple(tuple(kept[v] for v in clique)
+                               for clique in packing.cliques))
+
+
+def verify_reference(g: Graph, params):
+    """verify_ft's verdict, every surviving deletion kept as a witness,
+    built from packing_after_deletion_reference (n >= p*c + k only)."""
+    from ftclique import FTVerdict, degree_floor
+
+    k, p, c = params.k, params.p, params.c
+    witnesses = {}
+    for rank, subset in enumerate(combinations(range(g.n), k)):
+        packing = packing_after_deletion_reference(g, p, c, subset)
+        if packing is None:
+            reason = None
+            floor = degree_floor(k, c)
+            low = [v for v in range(g.n) if g.degree(v) < floor]
+            if g.n == params.critical_order and c >= 3 and low:
+                v = low[0]
+                reason = (f"order equals p*c + k and vertex {v} has degree "
+                          f"{g.degree(v)} < c + k - 1 = {floor}, so some "
+                          "deletion must fail")
+            return FTVerdict(False, subset, rank + 1, witnesses, reason)
+        witnesses[subset] = packing
+    return FTVerdict(True, None, len(witnesses), witnesses, None)

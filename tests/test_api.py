@@ -1,0 +1,47 @@
+"""Public names: every exported name resolves, removed names stay gone."""
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import ftclique
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(ftclique.__path__)
+                 if m.name != "__main__")
+
+
+def test_package_exports_resolve():
+    for name in ftclique.__all__:
+        assert hasattr(ftclique, name), name
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_exports_resolve(name):
+    module = importlib.import_module(f"ftclique.{name}")
+    for attr in module.__all__:
+        assert hasattr(module, attr), f"ftclique.{name}.{attr}"
+
+
+@pytest.mark.parametrize("owner, name", [
+    ("ftclique", "DEFAULT_SIZE_LIMIT"),
+    ("ftclique", "SizeLimitError"),
+    ("ftclique", "GraphDocument"),
+    ("ftclique.canon", "DEFAULT_SIZE_LIMIT"),
+    ("ftclique.canon", "SizeLimitError"),
+    ("ftclique.formats", "GraphDocument"),
+    ("ftclique.search", "EXHAUSTIVE_ORDER_LIMIT"),
+])
+def test_removed_names_are_gone(owner, name):
+    assert not hasattr(importlib.import_module(owner), name)
+
+
+@pytest.mark.parametrize("function, argument", [
+    (ftclique.search_minimum, "allow_large"),
+    (ftclique.probe_conjecture, "allow_large"),
+    (ftclique.canonical_form, "limit"),
+    (ftclique.canonical_labeling, "limit"),
+])
+def test_removed_arguments_are_gone(function, argument):
+    assert argument not in inspect.signature(function).parameters

@@ -2,11 +2,7 @@
 
 import random
 
-import pytest
-
 from ftclique import (
-    SizeLimitError,
-    TreeTemplate,
     canonical_form,
     canonical_graph,
     canonical_labeling,
@@ -14,7 +10,6 @@ from ftclique import (
     cycle_graph,
     relabeled,
     star_construction,
-    tree_of_cliques,
 )
 from helpers import isomorphic_bruteforce, random_graph
 
@@ -88,14 +83,3 @@ def test_canonical_labeling_achieves_the_form():
     for i, v in enumerate(perm):
         inverse[v] = i
     assert relabeled(g, inverse) == canonical_graph(canonical_form(g))
-
-
-def test_size_limit_guard_and_override():
-    g = star_construction(2, 5, 3)
-    assert g.n == 17
-    with pytest.raises(SizeLimitError):
-        canonical_form(g)
-    a = canonical_form(tree_of_cliques(2, 3, TreeTemplate.path(5, 2, 3)), limit=17)
-    b = canonical_form(tree_of_cliques(2, 3, TreeTemplate.star(5, 2)), limit=17)
-    assert a != b
-    assert canonical_form(g, limit=17) == b

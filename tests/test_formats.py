@@ -121,12 +121,9 @@ def test_detect_and_generic_entry_points():
     assert detect_format(as_edges) == "edge-list"
     assert detect_format(as_g6) == "graph6"
     assert detect_format(">>graph6<<D~{") == "graph6"
-    doc = parse_graph(as_edges)
-    assert doc.format == "edge-list" and doc.graph == g
-    doc = parse_graph(as_g6)
-    assert doc.format == "graph6" and doc.graph == g
-    doc = parse_graph(as_g6, "graph6")
-    assert doc.graph == g
+    assert parse_graph(as_edges) == g
+    assert parse_graph(as_g6) == g
+    assert parse_graph(as_g6, "graph6") == g
     with pytest.raises(ValueError):
         parse_graph(as_g6, "edge-list")
     with pytest.raises(ValueError):

@@ -112,10 +112,8 @@ def test_filter_rejects_before_canonical_forms():
 
 def test_order_guard():
     with pytest.raises(ValueError):
-        search_minimum(FTParams(1, 4, 3))  # 13 vertices needs allow_large
-    with pytest.raises(ValueError):
-        # 67 vertices exceeds the hard mask-width cap even when forced
-        search_minimum(FTParams(1, 22, 3), allow_large=True)
+        # 67 vertices exceeds the mask-width cap
+        search_minimum(FTParams(1, 22, 3))
 
 
 def test_budget_stops_and_resume_finishes():

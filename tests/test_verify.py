@@ -1,22 +1,34 @@
 """Fault-tolerance verification scans."""
 
 import random
+from itertools import combinations
+from math import comb
 
 import pytest
 
 from ftclique import (
     FTParams,
+    Graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
+    find_disjoint_cliques,
     hub_edge_bound,
     is_minimum_candidate,
+    relabeled,
     star_construction,
     verify_ft,
     verify_ft_oracle,
 )
+from ftclique import verify as verify_module
+from ftclique.graphs import mask_of
 from ftclique.verify import degree_floor
-from helpers import random_graph
+from helpers import (
+    packing_after_deletion_reference,
+    packings_exist_bruteforce,
+    random_graph,
+    verify_reference,
+)
 
 
 def test_params_validation():
@@ -174,3 +186,44 @@ def test_minimum_candidacy():
     assert not over
     assert over.holds and over.order_ok
     assert "13 edges" in over.note
+
+
+def test_masked_packer_matches_relabeled_packing():
+    rng = random.Random(20240611)
+    checked = 0
+    for _ in range(60):
+        n = rng.randint(4, 11)
+        g = random_graph(rng, n, rng.choice([0.5, 0.7, 0.9]))
+        k = rng.randint(0, 2)
+        c = rng.choice([2, 3, 4])
+        p = rng.randint(1, max(1, min(3, (n - k) // c)))
+        for subset in combinations(range(n), k):
+            allowed = g.full_mask & ~mask_of(subset)
+            got = find_disjoint_cliques(g, p, c, allowed)
+            assert got == packing_after_deletion_reference(g, p, c, subset)
+            sub, _ = g.remove_vertices(subset)
+            assert (got is not None) == packings_exist_bruteforce(sub, p, c)
+            checked += 1
+    assert checked > 600
+
+
+@pytest.mark.parametrize("drop", [False, True], ids=["star", "star-minus-edge"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_verify_matches_relabeled_reference(monkeypatch, drop, jobs):
+    # Send even this small scan through the process pool when jobs > 1.
+    monkeypatch.setattr(verify_module, "_PARALLEL_THRESHOLD", 1)
+    rng = random.Random(7)
+    g = star_construction(2, 5, 3)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    g = relabeled(g, perm)
+    if drop:
+        edges = g.edges()
+        edges.remove(rng.choice(edges))
+        g = Graph(g.n, edges)
+    params = FTParams(2, 5, 3)
+    verdict = verify_ft(g, params, max_witnesses=comb(g.n, 2), jobs=jobs)
+    expected = verify_reference(g, params)
+    assert verdict == expected
+    assert verdict.reason == expected.reason
+    assert verdict.holds != drop
