@@ -252,8 +252,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_params(sub)
     sub.add_argument("--witnesses", type=int, default=0,
                      help="retain packings for the first N deletion sets")
-    sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                     help="parallel workers (default: all cores)")
+    # sched_getaffinity counts the CPUs this process may use; cpu_count
+    # counts the machine's, more than a CPU-limited container gets.
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    sub.add_argument("--jobs", type=int, default=cores,
+                     help="parallel workers (default: the usable cores)")
     _add_graph_input(sub)
     sub.set_defaults(func=_cmd_verify)
 

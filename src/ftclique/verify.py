@@ -7,10 +7,11 @@ exactly-k deletion on the same surviving vertices, and clique packings
 survive taking supergraphs.
 """
 
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import combinations, count, islice
 from math import comb
+from multiprocessing.connection import wait
 
 from .graphs import Graph, mask_of
 from .packing import CliquePacking, find_disjoint_cliques, oracle_packing_exists
@@ -82,26 +83,96 @@ def degree_floor(k: int, c: int) -> int:
     return c + k - 1
 
 
-def _scan(args: tuple) -> tuple[int | None, tuple[int, ...] | None,
-                                list[tuple[int, tuple[int, ...], CliquePacking]]]:
-    """Check the k-subsets of lexicographic rank lo..hi-1 in order.
+def _scan(graph: Graph, k: int, p: int, c: int, start: int, step: int,
+          max_witnesses: int, stop=None) -> tuple[
+              int | None, tuple[int, ...] | None,
+              list[tuple[int, tuple[int, ...], CliquePacking]]]:
+    """Check the k-subsets of lexicographic rank start, start + step, ... in order.
 
     Returns (first failing rank, its subset, witnesses), the first two None
-    when every subset survives; witnesses are (rank, subset, packing) for
-    surviving ranks below max_witnesses. Each packing is searched on the
+    when every subset checked survives; witnesses are (rank, subset, packing)
+    for surviving ranks below max_witnesses. Each packing is searched on the
     original labels inside the mask of survivors.
+
+    stop, when given, is a value shared by the workers of one scan: the
+    least failing rank found so far, C(n, k) at first. The scan ends before
+    a rank at or past it and lowers it to its own failing rank. Every value
+    written is a real failing rank, so a lost race between two writers only
+    ends scans later; no rank below the least failing one is ever skipped.
     """
-    graph, k, p, c, lo, hi, max_witnesses = args
     full = graph.full_mask
     witnesses: list[tuple[int, tuple[int, ...], CliquePacking]] = []
-    subsets = islice(combinations(range(graph.n), k), lo, hi)
-    for rank, subset in enumerate(subsets, lo):
+    subsets = islice(combinations(range(graph.n), k), start, None, step)
+    for rank, subset in zip(count(start, step), subsets):
+        if stop is not None and rank >= stop.value:
+            break
         packing = find_disjoint_cliques(graph, p, c, full & ~mask_of(subset))
         if packing is None:
+            if stop is not None and rank < stop.value:
+                stop.value = rank
             return rank, subset, witnesses
         if rank < max_witnesses:
             witnesses.append((rank, subset, packing))
     return None, None, witnesses
+
+
+def _work(conn, *args) -> None:
+    """Worker process body: send back the result of _scan(*args), or its exception."""
+    try:
+        result = _scan(*args)
+    except Exception as exc:
+        result = exc
+    conn.send(result)
+    conn.close()
+
+
+def _scan_parallel(graph: Graph, k: int, p: int, c: int, jobs: int,
+                   max_witnesses: int, total: int) -> list:
+    """Run _scan in `jobs` fresh worker processes, worker j on ranks j, j + jobs, ...
+
+    The workers share one stop value, so none scans past a failure another
+    has found. Returns their results; re-raises a worker's exception, and
+    raises RuntimeError for a worker that exits without sending a result.
+    Workers that have not answered are terminated on every way out, and
+    every worker is joined.
+    """
+    # A signed 64-bit slot: a larger C(n, k) would wrap, and no scan gets that far.
+    stop = multiprocessing.RawValue("q", min(total, 2**63 - 1))
+    workers = []
+    pending = {}
+    results = []
+    try:
+        for start in range(jobs):
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            worker = multiprocessing.Process(
+                target=_work,
+                args=(sender, graph, k, p, c, start, jobs, max_witnesses, stop))
+            worker.start()
+            workers.append(worker)
+            pending[receiver] = worker
+            sender.close()
+        while pending:
+            for receiver in wait(list(pending)):
+                worker = pending.pop(receiver)
+                try:
+                    result = receiver.recv()
+                except EOFError:
+                    worker.join()
+                    raise RuntimeError(
+                        f"verify worker exited with code {worker.exitcode} "
+                        "before sending a result") from None
+                finally:
+                    receiver.close()
+                if isinstance(result, Exception):
+                    raise result
+                results.append(result)
+    finally:
+        for receiver, worker in pending.items():
+            receiver.close()
+            worker.terminate()
+        for worker in workers:
+            worker.join()
+    return results
 
 
 def verify_ft(graph: Graph, params: FTParams, *, max_witnesses: int = 0,
@@ -109,8 +180,13 @@ def verify_ft(graph: Graph, params: FTParams, *, max_witnesses: int = 0,
     """Scan all k-subsets in lexicographic order, stopping at the first failure.
 
     The verdict does not depend on `jobs`: parallel workers report the rank
-    of their first failure and the aggregator keeps the minimum.
+    of their first failure and the aggregator keeps the minimum. Raises
+    ValueError for jobs < 1 or max_witnesses < 0.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if max_witnesses < 0:
+        raise ValueError(f"max_witnesses must be >= 0, got {max_witnesses}")
     k, p, c = params.k, params.p, params.c
     n = graph.n
     want = max_witnesses > 0
@@ -144,14 +220,10 @@ def verify_ft(graph: Graph, params: FTParams, *, max_witnesses: int = 0,
 
     total = comb(n, k)
     if jobs > 1 and total >= _PARALLEL_THRESHOLD:
-        jobs = min(jobs, total)
-        step = -(-total // (jobs * 4))
-        payload = [(graph, k, p, c, lo, min(lo + step, total), max_witnesses)
-                   for lo in range(0, total, step)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan, payload))
+        results = _scan_parallel(graph, k, p, c, min(jobs, total),
+                                 max_witnesses, total)
     else:
-        results = [_scan((graph, k, p, c, 0, total, max_witnesses))]
+        results = [_scan(graph, k, p, c, 0, 1, max_witnesses)]
 
     fail_rank: int | None = None
     fail_subset: tuple[int, ...] | None = None

@@ -1,11 +1,13 @@
 """End-to-end command-line behavior: exit codes, JSON reports, pipelines."""
 
 import json
+import os
 
 import pytest
 
 from ftclique import complete_graph, cycle_graph, emit_edge_list, emit_graph6
-from ftclique.cli import main
+from ftclique import verify as verify_module
+from ftclique.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -258,3 +260,41 @@ def test_missing_file_is_a_usage_error(capsys):
     code, _, err = run(capsys, "props", "/nonexistent/file.txt")
     assert code == 2
     assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("flag,value,name", [
+    ("--jobs", "0", "jobs"),
+    ("--jobs", "-3", "jobs"),
+    ("--witnesses", "-1", "max_witnesses"),
+])
+def test_verify_rejects_bad_jobs_and_witnesses(tmp_path, capsys, flag, value, name):
+    path = tmp_path / "k4.txt"
+    path.write_text(emit_edge_list(complete_graph(4)))
+    code, out, err = run(capsys, "verify", "--k", "1", "--p", "1", "--c", "3",
+                         flag, value, str(path))
+    assert code == 2
+    assert out == ""
+    assert name in json.loads(err)["error"]
+
+
+def test_verify_jobs_default_to_the_usable_cores():
+    args = _build_parser().parse_args(["verify", "--k", "1", "--p", "1", "--c", "3"])
+    if hasattr(os, "sched_getaffinity"):
+        assert args.jobs == len(os.sched_getaffinity(0))
+    else:
+        assert args.jobs == (os.cpu_count() or 1)
+
+
+def test_worker_value_error_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    def raising(graph, p, c, allowed=None):
+        raise ValueError("packer failed")
+
+    monkeypatch.setattr(verify_module, "_PARALLEL_THRESHOLD", 1)
+    monkeypatch.setattr(verify_module, "find_disjoint_cliques", raising)
+    path = tmp_path / "k4.txt"
+    path.write_text(emit_edge_list(complete_graph(4)))
+    code, out, err = run(capsys, "verify", "--k", "1", "--p", "1", "--c", "3",
+                         "--jobs", "2", str(path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "packer failed"}

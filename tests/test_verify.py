@@ -1,6 +1,9 @@
 """Fault-tolerance verification scans."""
 
+import multiprocessing
+import os
 import random
+import time
 from itertools import combinations
 from math import comb
 
@@ -227,3 +230,130 @@ def test_verify_matches_relabeled_reference(monkeypatch, drop, jobs):
     assert verdict == expected
     assert verdict.reason == expected.reason
     assert verdict.holds != drop
+
+
+def test_scan_stops_before_a_rank_at_or_past_the_stop_value(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return find_disjoint_cliques(*args)
+
+    monkeypatch.setattr(verify_module, "find_disjoint_cliques", counting)
+    g = star_construction(2, 5, 3)
+    for start, step, stop in [(5, 2, 3), (5, 2, 5), (0, 1, 0), (2, 3, 1)]:
+        result = verify_module._scan(g, 2, 5, 3, start, step, comb(g.n, 2),
+                                     multiprocessing.RawValue("q", stop))
+        assert result == (None, None, [])
+    assert calls == []
+
+
+def test_scan_lowers_the_stop_value_to_its_failing_rank():
+    g = disjoint_union(star_construction(3, 3, 3), complete_graph(3))
+    expected = verify_ft(g, FTParams(3, 4, 3))
+    first = expected.witness_count - 1
+    stop = multiprocessing.RawValue("q", comb(g.n, 3))
+    rank, subset, _ = verify_module._scan(g, 3, 4, 3, first % 2, 2, 0, stop)
+    assert (rank, subset) == (first, expected.counterexample)
+    assert stop.value == first
+    # A later failure never raises the value again.
+    stop.value = 0
+    assert verify_module._scan(g, 3, 4, 3, first, 1, 0, stop) == (None, None, [])
+    assert stop.value == 0
+
+
+def test_verify_does_not_depend_on_jobs(monkeypatch):
+    # Workers start even for this small scan; each drop moves the failure.
+    monkeypatch.setattr(verify_module, "_PARALLEL_THRESHOLD", 1)
+    rng = random.Random(11)
+    g = star_construction(2, 5, 3)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    g = relabeled(g, perm)
+    params = FTParams(2, 5, 3)
+    everything = comb(g.n, 2)
+    graphs = [g] + [Graph(g.n, [e for e in g.edges() if e != drop])
+                    for drop in g.edges()]
+    failing_ranks = []
+    for h in graphs:
+        expected = verify_reference(h, params)
+        serial = verify_ft(h, params, max_witnesses=everything, jobs=1)
+        assert serial == expected and serial.reason == expected.reason
+        for jobs in (2, 3):
+            verdict = verify_ft(h, params, max_witnesses=everything, jobs=jobs)
+            assert verdict == serial and verdict.reason == serial.reason
+        if not serial.holds:
+            failing_ranks.append(serial.witness_count - 1)
+    assert len(failing_ranks) == len(graphs) - 1
+    for jobs in (2, 3):
+        assert {rank % jobs for rank in failing_ranks} == set(range(jobs))
+    assert multiprocessing.active_children() == []
+
+
+def test_racing_workers_keep_the_least_failing_rank():
+    # More workers than cores, and a failure in every few ranks, so the
+    # workers race to lower the shared stop value.
+    g = disjoint_union(star_construction(3, 3, 3), complete_graph(3))
+    params = FTParams(3, 4, 3)
+    everything = comb(g.n, 3)
+    serial = verify_ft(g, params, max_witnesses=everything)
+    jobs = len(os.sched_getaffinity(0)) + 2 if hasattr(os, "sched_getaffinity") else 4
+    started = time.monotonic()
+    for _ in range(10):
+        verdict = verify_ft(g, params, max_witnesses=everything, jobs=jobs)
+        assert verdict == serial
+    assert time.monotonic() - started < 60
+    assert multiprocessing.active_children() == []
+
+
+def _run_with_broken_packer(monkeypatch, packer, error):
+    monkeypatch.setattr(verify_module, "_PARALLEL_THRESHOLD", 1)
+    monkeypatch.setattr(verify_module, "find_disjoint_cliques", packer)
+    started = time.monotonic()
+    with pytest.raises(error) as info:
+        verify_ft(star_construction(2, 5, 3), FTParams(2, 5, 3), jobs=2)
+    assert time.monotonic() - started < 30
+    assert multiprocessing.active_children() == []
+    return info
+
+
+def test_worker_exception_is_raised_with_its_type(monkeypatch):
+    def raising(graph, p, c, allowed=None):
+        raise ValueError("packer failed")
+
+    info = _run_with_broken_packer(monkeypatch, raising, ValueError)
+    assert "packer failed" in str(info.value)
+
+
+def test_worker_that_dies_without_a_result_raises(monkeypatch):
+    parent = os.getpid()
+
+    def dying(graph, p, c, allowed=None):
+        assert os.getpid() != parent
+        # Rank 0 deletes {0, 1}: its worker dies, the other one blocks
+        # until the caller terminates it.
+        if not allowed & 0b11:
+            os._exit(3)
+        time.sleep(60)
+
+    info = _run_with_broken_packer(monkeypatch, dying, RuntimeError)
+    assert "code 3" in str(info.value)
+
+
+def test_interrupted_caller_terminates_its_workers(monkeypatch):
+    def interrupted(connections, timeout=None):
+        raise KeyboardInterrupt
+
+    def sleeping(graph, p, c, allowed=None):
+        time.sleep(60)
+
+    monkeypatch.setattr(verify_module, "wait", interrupted)
+    _run_with_broken_packer(monkeypatch, sleeping, KeyboardInterrupt)
+
+
+def test_jobs_and_witness_limits_are_checked():
+    g = complete_graph(4)
+    with pytest.raises(ValueError, match="jobs"):
+        verify_ft(g, FTParams(1, 1, 3), jobs=0)
+    with pytest.raises(ValueError, match="max_witnesses"):
+        verify_ft(g, FTParams(1, 1, 3), max_witnesses=-1)
