@@ -6,17 +6,16 @@ the graph. Premise violations raise; property violations come back as
 failing records with replayable witnesses.
 """
 
-import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterator
 
 from .blocks import blocks
 from .connectivity import component_masks, is_connected
 from .graphs import Graph, bits, mask_of, vertex_tuple
 from .packing import has_clique_containing
-from .verify import FTParams, degree_floor, verify_ft
+from .verify import FTParams, degree_floor, verify_ft, vertex_below_floor
 
 __all__ = [
     "AuditRecord",
@@ -56,18 +55,7 @@ class AuditReport:
         return tuple(r for r in self.records if not r.passed)
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "records": [
-                {
-                    "check": r.check,
-                    "rule": r.rule,
-                    "passed": r.passed,
-                    "witness": r.witness,
-                }
-                for r in self.records
-            ],
-        }
+        return {"passed": self.passed, "records": [asdict(r) for r in self.records]}
 
 
 def vertex_in_no_clique(graph: Graph, c: int) -> int | None:
@@ -105,22 +93,23 @@ def _require_critical(graph: Graph, params: FTParams) -> None:
         )
 
 
-def audit_basic(graph: Graph, params: FTParams, *, samples_per_vertex: int = 200,
-                exhaustive_cutoff: int = 1000, seed: int = 0) -> AuditReport:
+def audit_basic(graph: Graph, params: FTParams) -> AuditReport:
     """Per-vertex necessities: degree floor, clique membership, and clique
-    membership after deletions (exhaustive below the cutoff, else sampled)."""
+    membership after any k deletions. Raises ValueError past the sweep cap."""
     _require_critical(graph, params)
-    k, c = params.k, params.c
-    n = graph.n
+    k, c, n = params.k, params.c, graph.n
+    scans = sum(comb(d, min(k, d)) for d in graph.degrees())
+    if scans > _SWEEP_CAP:
+        raise ValueError(
+            f"surviving-clique scan needs {scans} deletion sets; cap is {_SWEEP_CAP}"
+        )
     floor = degree_floor(k, c)
     records: list[AuditRecord] = []
 
+    v = vertex_below_floor(graph, floor)
     witness = None
-    for v in range(n):
-        d = graph.adj[v].bit_count()
-        if d < floor:
-            witness = {"vertex": v, "degree": d, "required": floor}
-            break
+    if v is not None:
+        witness = {"vertex": v, "degree": graph.degree(v), "required": floor}
     records.append(AuditRecord(
         "min-degree",
         f"every vertex has degree >= c + k - 1 = {floor}",
@@ -137,32 +126,25 @@ def audit_basic(graph: Graph, params: FTParams, *, samples_per_vertex: int = 200
         witness,
     ))
 
+    # A clique through v lies in N[v], so only deletions inside N(v) matter,
+    # and deleting more of N(v) never helps v: v survives every k-deletion
+    # exactly when it survives every deletion of min(k, deg v) neighbors.
+    def isolates(v: int, deleted: tuple[int, ...]) -> bool:
+        return not has_clique_containing(graph, v, c, graph.full_mask & ~mask_of(deleted))
+
     witness = None
-    exhaustive = comb(n - 1, k) <= exhaustive_cutoff
     for v in range(n):
-        others = [u for u in range(n) if u != v]
-        if exhaustive:
-            subsets = combinations(others, k)
-        else:
-            rng = random.Random(seed * 1_000_003 + v)
-            drawn: set[tuple[int, ...]] = set()
-            attempts = 0
-            while len(drawn) < samples_per_vertex and attempts < samples_per_vertex * 20:
-                drawn.add(tuple(sorted(rng.sample(others, k))))
-                attempts += 1
-            subsets = sorted(drawn)
-        for s in subsets:
-            allowed = graph.full_mask & ~mask_of(s)
-            if not has_clique_containing(graph, v, c, allowed):
-                witness = {"vertex": v, "deleted": list(s)}
-                break
-        if witness:
+        nbrs = vertex_tuple(graph.adj[v])
+        if any(isolates(v, s) for s in combinations(nbrs, min(k, len(nbrs)))):
+            # the least failing set of k other vertices, as a full scan reports it
+            others = [u for u in range(n) if u != v]
+            s = next(s for s in combinations(others, k) if isolates(v, s))
+            witness = {"vertex": v, "deleted": list(s)}
             break
-    mode = "all" if exhaustive else f"{samples_per_vertex} sampled"
     records.append(AuditRecord(
         "surviving-clique",
         f"every vertex lies in a {c}-clique after deleting any {k} other "
-        f"vertices ({mode} deletion sets per vertex)",
+        "vertices (all deletion sets per vertex)",
         witness is None,
         witness,
     ))
@@ -224,19 +206,24 @@ def _non_adjacent_pair(graph: Graph, vertices: tuple[int, ...]) -> tuple[int, in
     raise AssertionError("called on a clique")
 
 
-def _separations(graph: Graph, k: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-    """Yield (W, component masks) for every k-subset W, in lexicographic
-    order, whose removal leaves at least two components."""
+@lru_cache(maxsize=1)
+def _separations(graph: Graph, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(W, component masks) for every k-subset W, in lexicographic order,
+    whose removal leaves at least two components.
+
+    The last sweep is kept, so the audits of one graph share it."""
     n = graph.n
     if comb(n, k) > _SWEEP_CAP:
         raise ValueError(
             f"separator sweep needs C({n}, {k}) subsets; cap is {_SWEEP_CAP}"
         )
     full = graph.full_mask
+    found = []
     for w in combinations(range(n), k):
         comps = component_masks(graph.adj, full & ~mask_of(w))
         if len(comps) >= 2:
-            yield w, comps
+            found.append((w, tuple(comps)))
+    return tuple(found)
 
 
 def size_k_separators(graph: Graph, k: int) -> list[tuple[int, ...]]:

@@ -83,6 +83,11 @@ def degree_floor(k: int, c: int) -> int:
     return c + k - 1
 
 
+def vertex_below_floor(graph: Graph, floor: int) -> int | None:
+    """First vertex of degree below floor, or None."""
+    return next((v for v, d in enumerate(graph.degrees()) if d < floor), None)
+
+
 def _scan(graph: Graph, k: int, p: int, c: int, start: int, step: int,
           max_witnesses: int, stop=None) -> tuple[
               int | None, tuple[int, ...] | None,
@@ -209,14 +214,12 @@ def verify_ft(graph: Graph, params: FTParams, *, max_witnesses: int = 0,
     prescreen: str | None = None
     if n == params.critical_order and c >= 3:
         floor = degree_floor(k, c)
-        for v in range(n):
-            d = graph.adj[v].bit_count()
-            if d < floor:
-                prescreen = (
-                    f"order equals p*c + k and vertex {v} has degree {d} "
-                    f"< c + k - 1 = {floor}, so some deletion must fail"
-                )
-                break
+        v = vertex_below_floor(graph, floor)
+        if v is not None:
+            prescreen = (
+                f"order equals p*c + k and vertex {v} has degree "
+                f"{graph.degree(v)} < c + k - 1 = {floor}, so some deletion must fail"
+            )
 
     total = comb(n, k)
     if jobs > 1 and total >= _PARALLEL_THRESHOLD:

@@ -269,3 +269,18 @@ def verify_reference(g: Graph, params):
             return FTVerdict(False, subset, rank + 1, witnesses, reason)
         witnesses[subset] = packing
     return FTVerdict(True, None, len(witnesses), witnesses, None)
+
+
+def surviving_clique_reference(g: Graph, k: int, c: int):
+    """The surviving-clique check as a full scan: for the first vertex v
+    that some deletion of k other vertices leaves in no c-clique, the
+    lexicographically least such deletion, or None."""
+    from ftclique import has_clique_containing
+    from ftclique.graphs import mask_of
+
+    for v in range(g.n):
+        others = [u for u in range(g.n) if u != v]
+        for s in combinations(others, k):
+            if not has_clique_containing(g, v, c, g.full_mask & ~mask_of(s)):
+                return {"vertex": v, "deleted": list(s)}
+    return None

@@ -42,6 +42,9 @@ def test_removed_names_are_gone(owner, name):
     (ftclique.probe_conjecture, "allow_large"),
     (ftclique.canonical_form, "limit"),
     (ftclique.canonical_labeling, "limit"),
+    (ftclique.audit_basic, "samples_per_vertex"),
+    (ftclique.audit_basic, "exhaustive_cutoff"),
+    (ftclique.audit_basic, "seed"),
 ])
 def test_removed_arguments_are_gone(function, argument):
     assert argument not in inspect.signature(function).parameters

@@ -22,8 +22,10 @@ from ftclique import (
     disjoint_union,
     verify_ft,
 )
+from ftclique import audit as audit_module
+from ftclique import relabeled
 from ftclique.search import _iter_adjacencies
-from helpers import all_graphs_with_edges, random_graph
+from helpers import all_graphs_with_edges, random_graph, surviving_clique_reference
 
 
 def test_audit_basic_passes_on_hub_families():
@@ -63,13 +65,50 @@ def test_audit_premise_violations_raise():
         audit_basic(cycle_graph(5), FTParams(1, 2, 2))
 
 
-def test_audit_basic_sampled_mode_stays_deterministic():
-    g = star_construction(2, 2, 3)
-    params = FTParams(2, 2, 3)
-    a = audit_basic(g, params, exhaustive_cutoff=1, samples_per_vertex=10, seed=4)
-    b = audit_basic(g, params, exhaustive_cutoff=1, samples_per_vertex=10, seed=4)
-    assert a == b
-    assert a.passed
+def _surviving_clique_cases():
+    """(params, graph) at the critical order: seeded random graphs, and
+    constructions native, relabeled and minus one edge."""
+    rng = random.Random(5150)
+    for k, p, c in [(1, 2, 3), (2, 2, 3), (3, 2, 3), (1, 2, 4), (2, 2, 4),
+                    (3, 2, 4), (2, 3, 3)]:
+        params = FTParams(k, p, c)
+        for prob in (0.55, 0.7, 0.85, 0.95):
+            for _ in range(8):
+                yield params, random_graph(rng, params.critical_order, prob)
+    for k, p, c in [(1, 2, 3), (2, 2, 3), (3, 2, 4), (2, 3, 4), (1, 3, 3)]:
+        params = FTParams(k, p, c)
+        n = params.critical_order
+        for g in (star_construction(k, p, c),
+                  tree_of_cliques(k, c, TreeTemplate.path(p, k, c))):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            shuffled = relabeled(g, perm)
+            edges = shuffled.edges()
+            yield params, g
+            yield params, shuffled
+            for i in rng.sample(range(len(edges)), 4):
+                yield params, Graph(n, edges[:i] + edges[i + 1:])
+
+
+def test_surviving_clique_matches_full_scan():
+    outcomes = set()
+    for params, g in _surviving_clique_cases():
+        expected = surviving_clique_reference(g, params.k, params.c)
+        record = next(r for r in audit_basic(g, params).records
+                      if r.check == "surviving-clique")
+        assert (record.passed, record.witness) == (expected is None, expected), g.edges()
+        outcomes.add(record.passed)
+    assert outcomes == {True, False}
+
+
+def test_surviving_clique_scan_over_the_cap_raises_before_searching(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("clique search ran before the cap check")
+
+    monkeypatch.setattr(audit_module, "has_clique_containing", refuse)
+    # 63 * C(62, 3) deletion sets inside the neighborhoods, over the cap
+    with pytest.raises(ValueError, match="cap"):
+        audit_basic(complete_graph(63), FTParams(3, 20, 3))
 
 
 def test_low_degree_clique_audit():

@@ -2,10 +2,21 @@
 
 import json
 import os
+from math import comb
 
 import pytest
 
-from ftclique import complete_graph, cycle_graph, emit_edge_list, emit_graph6
+from ftclique import (
+    TreeTemplate,
+    complete_graph,
+    cycle_graph,
+    emit_edge_list,
+    emit_graph6,
+    size_k_separators,
+    star_construction,
+    tree_of_cliques,
+)
+from ftclique import audit as audit_module
 from ftclique import verify as verify_module
 from ftclique.cli import _build_parser, main
 
@@ -147,6 +158,57 @@ def test_audit_failure_exit(tmp_path, capsys):
                                "--c", "3", str(c7))
     assert code == 1
     assert report["passed"] is False
+
+
+def test_audit_with_k_at_least_c_skips_the_separator_audits(tmp_path, capsys):
+    # star(3,2,3) is accepted and its hub is a size-3 separator; the split
+    # statements need k < c, so the full audit reports no separator list
+    for name, graph in [("star", star_construction(3, 2, 3)), ("k9", complete_graph(9))]:
+        path = tmp_path / f"{name}.txt"
+        path.write_text(emit_edge_list(graph))
+        code, _, _ = run(capsys, "verify", "--k", "3", "--p", "2", "--c", "3", str(path))
+        assert code == 0
+        code, report, _ = run_json(capsys, "audit", "--k", "3", "--p", "2",
+                                   "--c", "3", str(path))
+        assert code == 0, name
+        assert report["passed"] is True
+        assert report["basic"]["passed"] and report["low_degree"]["passed"]
+        assert report["separators"] is None
+
+    code, _, err = run(capsys, "audit", "--k", "3", "--p", "2", "--c", "3",
+                       "--separator", "0,1,2", str(tmp_path / "star.txt"))
+    assert code == 2
+    assert "k < c" in json.loads(err)["error"]
+
+
+def test_audit_over_the_sweep_cap_exits_2(tmp_path, capsys):
+    path = tmp_path / "k63.txt"
+    path.write_text(emit_edge_list(complete_graph(63)))
+    code, out, err = run(capsys, "audit", "--k", "3", "--p", "20", "--c", "3", str(path))
+    assert code == 2
+    assert out == ""
+    assert "cap" in json.loads(err)["error"]
+
+
+def test_audit_sweeps_the_k_subsets_once(tmp_path, capsys, monkeypatch):
+    graph = tree_of_cliques(2, 4, TreeTemplate.path(6, 2, 4))
+    separators = size_k_separators(graph, 2)
+    path = tmp_path / "path.txt"
+    path.write_text(emit_edge_list(graph))
+    calls = []
+    original = audit_module.component_masks
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    audit_module._separations.cache_clear()
+    monkeypatch.setattr(audit_module, "component_masks", counted)
+    code, report, _ = run_json(capsys, "audit", "--k", "2", "--p", "6", "--c", "4", str(path))
+    assert code == 0
+    assert len(report["separators"]) == len(separators) > 0
+    # one sweep over the k-subsets, then one split per separator audit
+    assert len(calls) == comb(graph.n, 2) + len(separators)
 
 
 def test_search_min_with_state(tmp_path, capsys):
