@@ -198,11 +198,19 @@ def _cmd_search_min(args: argparse.Namespace) -> int:
     resume = None
     if args.state and os.path.exists(args.state) and os.path.getsize(args.state):
         with open(args.state, "r", encoding="utf-8") as fh:
-            stored = json.load(fh)
+            try:
+                stored = json.load(fh)
+            except RecursionError:
+                raise ValueError("state file is nested too deeply to be a search state") from None
         if isinstance(stored, dict) and stored.get("status") == "complete":
-            if not isinstance(stored.get("report"), dict):
+            report = stored.get("report")
+            if not isinstance(report, dict):
                 raise ValueError("completed state file lacks its report")
-            _emit({"command": "search-min", **stored["report"]})
+            if [report.get(key) for key in ("k", "p", "c")] != [args.k, args.p, args.c]:
+                raise ValueError("completed state file belongs to different parameters")
+            if args.max_edges is not None and report.get("max_edges") != args.max_edges:
+                raise ValueError("completed state file was built for a different max_edges")
+            _emit({"command": "search-min", **report})
             return 0
         resume = SearchResume.from_dict(stored)
     report = search_minimum(params, args.max_edges, budget, resume=resume)

@@ -20,6 +20,9 @@ __all__ = [
 ]
 
 _G6_HEADER = ">>graph6<<"
+# The largest order graph6's four-byte vertex count holds; edge lists share
+# it, so no header can make the parser allocate an unbounded adjacency list.
+MAX_ORDER = 258047
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -36,6 +39,8 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError(f"malformed header {lines[0]!r}; expected integers") from None
     if n < 0 or m < 0:
         raise ValueError(f"negative counts in header {lines[0]!r}")
+    if n > MAX_ORDER:
+        raise ValueError(f"order {n} in header exceeds the supported {MAX_ORDER}")
     if len(lines) - 1 != m:
         raise ValueError(f"header promises {m} edges, found {len(lines) - 1} lines")
     edges: list[tuple[int, int]] = []
@@ -69,11 +74,11 @@ def emit_edge_list(graph: Graph) -> str:
 def _encode_n(n: int) -> str:
     if n <= 62:
         return chr(n + 63)
-    if n <= 258047:
+    if n <= MAX_ORDER:
         return chr(126) + "".join(
             chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0)
         )
-    raise ValueError(f"graph6 support here stops at n = 258047, got {n}")
+    raise ValueError(f"graph6 support here stops at n = {MAX_ORDER}, got {n}")
 
 
 def emit_graph6(graph: Graph) -> str:
@@ -126,7 +131,7 @@ def parse_graph6(data: str | bytes) -> Graph:
         if len(vals) < 4:
             raise ValueError("truncated graph6 vertex count")
         if vals[1] == 63:
-            raise ValueError("graph6 forms beyond n = 258047 are not supported")
+            raise ValueError(f"graph6 forms beyond n = {MAX_ORDER} are not supported")
         n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
         body = vals[4:]
         if n <= 62:

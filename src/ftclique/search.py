@@ -10,8 +10,8 @@ from `audit` (tight-degree vertices have clique closed neighborhoods,
 every vertex lies in a c-clique) before it is canonicalized; survivors are
 deduplicated by canonical certificate and verified once per class. Units
 run in (m, d0) order and are idempotent, which makes budget interruption
-and resumption safe: a token lists the units still owed and how far into
-the first one the enumeration got.
+and resumption safe: a token names the first unfinished unit and how far
+into it the enumeration got; every later unit is implied.
 """
 
 import itertools
@@ -45,7 +45,7 @@ _MASK_ORDER_LIMIT = 64
 _CHECK_EVERY = 512
 # Resume tokens record a position in the enumerator's stream, so they are
 # only valid for the token format and enumerator that wrote them.
-RESUME_VERSION = 2
+RESUME_VERSION = 3
 ENUMERATOR_ID = "lex-slots/degree-floor-d0"
 
 
@@ -74,18 +74,19 @@ def _floor_and_lower(params: FTParams) -> tuple[int, int]:
 class SearchResume:
     """Everything needed to continue an interrupted search.
 
-    pending lists the (edge count, degree-of-vertex-0) work units left,
-    first unit possibly part-done: unit_offset graphs of it are already
-    counted and must be skipped on resume. graphs_examined is cumulative
-    over all runs. Construction rejects, with ValueError, any token that no
-    interrupted search can have written.
+    unit is the first unfinished (edge count, degree-of-vertex-0) work
+    unit: unit_offset graphs of it are already counted and must be skipped
+    on resume. The units after it, up to max_edges (or only those of best_m
+    edges once a solution is found), are owed. graphs_examined is
+    cumulative over all runs. Construction rejects, with ValueError, any
+    token that no interrupted search can have written.
     """
 
     k: int
     p: int
     c: int
     max_edges: int
-    pending: tuple[tuple[int, int], ...]
+    unit: tuple[int, int]
     best_m: int | None
     best_certs: tuple[CanonicalForm, ...]
     graphs_examined: int
@@ -93,7 +94,7 @@ class SearchResume:
 
     def __post_init__(self) -> None:
         ints = [self.k, self.p, self.c, self.max_edges, self.graphs_examined,
-                self.unit_offset, *(x for unit in self.pending for x in unit),
+                self.unit_offset, *self.unit,
                 *(cf.n for cf in self.best_certs), *(cf.code for cf in self.best_certs)]
         if self.best_m is not None:
             ints.append(self.best_m)
@@ -109,32 +110,25 @@ class SearchResume:
                 f"{self.unit_offset} and {self.graphs_examined}"
             )
         dmin, lower = _floor_and_lower(params)
+        m, d0 = self.unit
         # A solution at best_m means every smaller edge count is done and
-        # every larger one dropped, so only units of best_m edges remain.
-        last_m = self.max_edges if self.best_m is None else self.best_m
+        # every larger one dropped, so the search stopped inside best_m.
         if self.best_m is not None:
             pairs = comb(n, 2)
-            if not (lower <= self.best_m <= self.max_edges and self.best_certs and all(
-                    cf.n == n and cf.code >= 0 and cf.code.bit_length() <= pairs
-                    and cf.code.bit_count() == self.best_m for cf in self.best_certs)
-                    and all(m == self.best_m for m, _ in self.pending)):
+            if not (lower <= self.best_m <= self.max_edges and m == self.best_m
+                    and self.best_certs and all(
+                        cf.n == n and cf.code >= 0 and cf.code.bit_length() <= pairs
+                        and cf.code.bit_count() == self.best_m for cf in self.best_certs)):
                 raise ValueError(
                     f"resume token best_m {self.best_m} disagrees with its "
-                    "certificates or pending units"
+                    "certificates or unit"
                 )
         elif self.best_certs:
             raise ValueError("resume token has certificates but no best_m")
-        # Unit (m, d0) sits at index (m - lower) * width + d0 - dmin of the
-        # full list; compare indices so a huge max_edges builds no list.
-        width = n - dmin
-        first = (last_m - lower + 1) * width - len(self.pending)
-        if not self.pending or any(
-                not (lower <= m <= last_m and dmin <= d0 < n)
-                or (m - lower) * width + d0 - dmin != first + i
-                for i, (m, d0) in enumerate(self.pending)):
+        if not (lower <= m <= self.max_edges and dmin <= d0 < n):
             raise ValueError(
-                "resume token pending units are not a non-empty suffix of the "
-                f"(m, d0) units for m in [{lower}, {last_m}], d0 in [{dmin}, {n - 1}]"
+                f"resume token unit {self.unit} is outside m in "
+                f"[{lower}, {self.max_edges}], d0 in [{dmin}, {n - 1}]"
             )
 
     def to_dict(self) -> dict:
@@ -145,7 +139,7 @@ class SearchResume:
             "p": self.p,
             "c": self.c,
             "max_edges": self.max_edges,
-            "pending": [list(u) for u in self.pending],
+            "unit": list(self.unit),
             "best_m": self.best_m,
             "best_certs": [[cf.n, format(cf.code, "x")] for cf in self.best_certs],
             "graphs_examined": self.graphs_examined,
@@ -169,12 +163,13 @@ class SearchResume:
             raise ValueError(f"resume token lacks {', '.join(missing)}")
         values = {name: data[name] for name in names}
         try:
-            values["pending"] = tuple((m, d0) for m, d0 in data["pending"])
+            m, d0 = data["unit"]
+            values["unit"] = (m, d0)
             values["best_certs"] = tuple(CanonicalForm(n, int(code, 16))
                                          for n, code in data["best_certs"])
         except (TypeError, ValueError):
             raise ValueError(
-                "resume token pending must hold [m, d0] pairs and best_certs "
+                "resume token unit must be an [m, d0] pair and best_certs "
                 "[n, hex code] pairs"
             ) from None
         return cls(**values)
@@ -242,17 +237,14 @@ def _iter_adjacencies(n: int, m: int, dmin: int, d0: int):
     if cap_rest < dmin:
         return
     cap_rest = min(cap_rest, n - 1)
-    slots = [(u, v) for u in range(1, n) for v in range(u + 1, n)]
+    # Skipping slot (u, v) leaves u the later slots (u, w), w > v: n-1-v
+    # of them; and v the later (x, v), u < x < v, and (v, w), w > v: n-2-u.
+    # Each slot carries the degrees its endpoints need to allow the skip.
+    slots = [(u, v, dmin - (n - 1 - v), dmin - (n - 2 - u))
+             for u in range(1, n) for v in range(u + 1, n)]
     total_slots = len(slots)
     if rem > total_slots:
         return
-    inc_after = [[0] * n for _ in range(total_slots + 1)]
-    for i in range(total_slots - 1, -1, -1):
-        u, v = slots[i]
-        row = inc_after[i + 1][:]
-        row[u] += 1
-        row[v] += 1
-        inc_after[i] = row
 
     adj = [0] * n
     adj[0] = mask_of(range(1, d0 + 1))
@@ -272,7 +264,7 @@ def _iter_adjacencies(n: int, m: int, dmin: int, d0: int):
             return
         if total_slots - i < need:
             return
-        u, v = slots[i]
+        u, v, skip_u, skip_v = slots[i]
         du, dv = deg[u], deg[v]
         if du < cap_rest and dv < cap_rest:
             delta = (du < dmin) + (dv < dmin)
@@ -285,8 +277,7 @@ def _iter_adjacencies(n: int, m: int, dmin: int, d0: int):
             adj[v] &= ~(1 << u)
             deg[u] = du
             deg[v] = dv
-        nxt = inc_after[i + 1]
-        if du + nxt[u] >= dmin and dv + nxt[v] >= dmin:
+        if du >= skip_u and dv >= skip_v:
             yield from walk(i + 1, need, deficit)
 
     yield from walk(0, rem, deficit0)
@@ -318,27 +309,24 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
         if max_edges is not None and max_edges != resume.max_edges:
             raise ValueError("resume token was built for a different max_edges")
         max_edges = resume.max_edges
-        pending = list(resume.pending)
+        m, d0 = resume.unit
         best_m = resume.best_m
         best_certs: set[CanonicalForm] = set(resume.best_certs)
-        durable = resume.graphs_examined
+        examined = resume.graphs_examined
         offset = resume.unit_offset
     else:
         if max_edges is None:
             max_edges = bound
-        pending = [
-            (m, d0)
-            for m in range(lower, max_edges + 1)
-            for d0 in range(dmin, n)
-        ]
+        m, d0 = lower, dmin
         best_m = None
         best_certs = set()
-        durable = 0
+        examined = 0
         offset = 0
+    last_m = max_edges if best_m is None else best_m
 
     budget = budget or Budget()
     start = time.monotonic()
-    baseline = durable  # budget meters this run only; reports stay cumulative
+    baseline = examined  # budget meters this run only; reports stay cumulative
 
     def over_budget(examined: int) -> bool:
         if budget.graphs is not None and examined - baseline >= budget.graphs:
@@ -353,30 +341,13 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
     connectivity_prune = k >= 1 and c >= 3
     rejected_tight = rejected_clique = 0
     new_classes = verify_calls = accepted = 0
-    examined = durable
     seen: set[CanonicalForm] = set()
-    seen_m: int | None = None
-    resume_offset = offset
 
-    while pending:
-        m, d0 = pending[0]
-        if best_m is not None and m > best_m:
-            pending = []
-            break
-        if over_budget(examined):
-            break
-        if seen_m != m:
-            seen = set()
-            seen_m = m
-        it = _iter_adjacencies(n, m, d0, d0)
-        pos = 0
-        # Graphs before the offset were processed by an earlier run and are
-        # already in the durable count; skip without recounting.
-        for _ in itertools.islice(it, offset):
-            pos += 1
-        offset = 0
-        aborted = False
-        for adj in it:
+    # Walk the units (m, d0) from the cursor up to last_m; a solution at
+    # best_m drops every larger edge count. offset counts the graphs of the
+    # current unit already in examined, so an earlier run's are skipped.
+    while m <= last_m and not over_budget(examined):
+        for adj in itertools.islice(_iter_adjacencies(n, m, d0, d0), offset, None):
             g = Graph._from_adj(n, adj)
             if filtered and tight_vertex_with_open_closure(g, dmin) is not None:
                 rejected_tight += 1
@@ -392,32 +363,28 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
                         if verify_ft(g, params).holds:
                             accepted += 1
                             if best_m is None:
-                                best_m = m
+                                best_m = last_m = m
                             best_certs.add(cert)
-            pos += 1
+            offset += 1
             examined += 1
             if examined % _CHECK_EVERY == 0 and over_budget(examined):
-                aborted = True
                 break
-        durable = examined
-        if aborted:
-            resume_offset = pos
-            break
-        pending.pop(0)
-        resume_offset = 0
+        else:  # unit done: advance the cursor
+            offset = 0
+            d0 += 1
+            if d0 == n:
+                m, d0, seen = m + 1, dmin, set()
+            continue
+        break  # interrupted inside the unit
 
-    if best_m is not None:
-        pending = [u for u in pending if u[0] <= best_m]
-    # An interrupted unit is never popped, so full coverage of every edge
-    # count up to the minimum (or max_edges) is exactly "nothing pending".
-    exhaustive = not pending
-
+    # The walk only ends past its last unit when it covered every edge
+    # count up to the minimum (or max_edges); otherwise the cursor is owed.
     token = None
     notes: list[str] = []
-    if pending:
+    if m <= last_m:
         token = SearchResume(
-            k, p, c, max_edges, tuple(pending), best_m,
-            tuple(sorted(best_certs)), durable, resume_offset,
+            k, p, c, max_edges, (m, d0), best_m,
+            tuple(sorted(best_certs)), examined, offset,
         )
         notes.append("budget exhausted; resume token covers the remaining units")
         if best_m is not None:
@@ -440,7 +407,7 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
         minimum_found=best_m,
         exemplars=tuple(sorted(best_certs)),
         graphs_examined=examined,
-        exhaustive=exhaustive,
+        exhaustive=token is None,
         elapsed=time.monotonic() - start,
         resume=token,
         notes=tuple(notes),

@@ -218,7 +218,7 @@ def test_search_min_with_state(tmp_path, capsys):
                                "--state", str(state))
     assert code == 2
     assert report["resume"] is not None
-    assert json.loads(state.read_text())["pending"]
+    assert json.loads(state.read_text())["unit"] == report["resume"]["unit"]
 
     hops = 0
     while code == 2:
@@ -236,6 +236,43 @@ def test_search_min_with_state(tmp_path, capsys):
                                "--c", "3", "--state", str(state))
     assert code == 0
     assert report["minimum_found"] == 12
+
+
+@pytest.mark.parametrize("argv", [
+    ("--k", "2", "--p", "2", "--c", "3"),
+    ("--k", "1", "--p", "2", "--c", "3", "--max-edges", "11"),
+], ids=["other-parameters", "other-max-edges"])
+def test_completed_state_replays_only_its_own_search(tmp_path, capsys, argv):
+    # the (1,2,3) report (minimum 12) must not stand in for (2,2,3) (minimum 19)
+    state = tmp_path / "state.json"
+    code, _, _ = run(capsys, "search-min", "--k", "1", "--p", "2", "--c", "3",
+                     "--state", str(state))
+    assert code == 0
+    assert json.loads(state.read_text())["status"] == "complete"
+    code, out, err = run(capsys, "search-min", *argv, "--state", str(state))
+    assert code == 2
+    assert out == ""
+    assert "completed state file" in json.loads(err)["error"]
+
+
+def test_deeply_nested_state_is_a_usage_error(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    state.write_text("[" * 200_000)
+    code, out, err = run(capsys, "search-min", "--k", "1", "--p", "2", "--c", "3",
+                         "--state", str(state))
+    assert code == 2
+    assert out == ""
+    assert "nested" in json.loads(err)["error"]
+
+
+def test_search_min_huge_max_edges(capsys):
+    # the (m, d0) units up to max_edges are walked, not listed
+    code, report, _ = run_json(capsys, "search-min", "--k", "1", "--p", "2", "--c", "3",
+                               "--max-edges", str(10 ** 9))
+    assert code == 0
+    assert report["minimum_found"] == 12
+    assert report["exhaustive"] is True
+    assert report["resume"] is None
 
 
 @pytest.mark.parametrize("stored", [
@@ -262,15 +299,15 @@ def _interrupted_state(tmp_path, capsys):
 
 
 def test_search_min_rejects_empty_pending(tmp_path, capsys):
-    # an empty unit list used to replay as an exhaustive search that
-    # found nothing, for parameters whose minimum is 19
+    # an empty unit names no pending work; it must not replay as an
+    # exhaustive search that found nothing, for a minimum of 19
     state, stored = _interrupted_state(tmp_path, capsys)
-    state.write_text(json.dumps({**stored, "pending": []}))
+    state.write_text(json.dumps({**stored, "unit": []}))
     code, out, err = run(capsys, "search-min", "--k", "2", "--p", "2", "--c", "3",
                          "--state", str(state))
     assert code == 2
     assert out == ""
-    assert "pending" in json.loads(err)["error"]
+    assert "unit" in json.loads(err)["error"]
 
 
 def test_search_min_rejects_unversioned_state(tmp_path, capsys):
@@ -316,6 +353,23 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--k", "1", "--p", "1", "--c", "3", str(bad))
     assert code == 2
     assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--k", "1", "--p", "1", "--c", "3"),
+    ("pack", "--p", "1", "--c", "3"),
+    ("recognize", "--p", "1", "--c", "3"),
+    ("audit", "--k", "1", "--p", "1", "--c", "3"),
+    ("props",),
+], ids=lambda argv: argv[0])
+def test_huge_order_header_is_a_usage_error(tmp_path, capsys, argv):
+    # the order is checked before a billion-entry adjacency list is allocated
+    path = tmp_path / "huge.txt"
+    path.write_text("1000000000 0\n")
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert "exceeds" in json.loads(err)["error"]
 
 
 def test_missing_file_is_a_usage_error(capsys):

@@ -18,6 +18,7 @@ from ftclique import (
     parse_graph,
     parse_graph6,
 )
+from ftclique.formats import MAX_ORDER, _encode_n
 from helpers import random_graph
 
 
@@ -103,6 +104,22 @@ def test_graph6_strictness():
     with pytest.raises(ValueError):
         parse_graph6("AG")  # n = 2 wants exactly one group; padding dirty
     parse_graph6("A_")  # clean single edge
+
+
+def test_order_limit_is_shared_by_both_formats():
+    # the header's order is checked before n adjacency masks are allocated
+    for n in (MAX_ORDER + 1, 10 ** 9):
+        with pytest.raises(ValueError, match="exceeds"):
+            parse_edge_list(f"{n} 0\n")
+    assert parse_edge_list(f"{MAX_ORDER} 0\n").n == MAX_ORDER
+    # the largest four-byte graph6 vertex count is the same limit
+    assert _encode_n(MAX_ORDER) == "~}~~"
+    with pytest.raises(ValueError, match=f"n={MAX_ORDER} needs"):
+        parse_graph6("~}~~")
+    with pytest.raises(ValueError, match=str(MAX_ORDER)):
+        parse_graph6("~~????????")
+    with pytest.raises(ValueError, match=str(MAX_ORDER)):
+        emit_graph6(empty_graph(MAX_ORDER + 1))
 
 
 def test_round_trips_random():

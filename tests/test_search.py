@@ -17,6 +17,7 @@ from ftclique import (
     verify_ft,
 )
 from ftclique.graphs import mask_of
+from ftclique.search import _iter_adjacencies
 from helpers import all_graphs_with_edges, search_minimum_reference
 
 # Every parameter set with critical order p*c + k <= 8 (41 of them).
@@ -156,7 +157,7 @@ def _token_dict(params=FTParams(1, 2, 3), graphs=10):
 
 def test_resume_token_carries_version_and_enumerator():
     data = _token_dict()
-    assert data["version"] == 2
+    assert data["version"] == 3
     assert isinstance(data["enumerator"], str)
     for key in ("version", "enumerator"):
         stale = dict(data)
@@ -164,17 +165,22 @@ def test_resume_token_carries_version_and_enumerator():
         with pytest.raises(ValueError):
             SearchResume.from_dict(stale)
     with pytest.raises(ValueError):
-        SearchResume.from_dict({**data, "version": 1})
+        SearchResume.from_dict({**data, "version": 2})
 
 
 @pytest.mark.parametrize("change", [
-    pytest.param({"pending": []}, id="no-pending"),
-    pytest.param({"pending": [[12, 3]]}, id="pending-not-a-suffix"),
-    pytest.param({"pending": [[12, 9]]}, id="pending-unit-out-of-range"),
-    pytest.param({"pending": [[12, "3"]]}, id="pending-text-degree"),
-    pytest.param({"pending": [12, 3]}, id="pending-flat"),
-    pytest.param({"pending": None}, id="pending-null"),
-    pytest.param({"max_edges": 10 ** 12}, id="huge-max-edges"),
+    # unit is the first pending (m, d0) unit; (1,2,3) has m in [11, 12]
+    # and d0 in [3, 6]
+    pytest.param({"unit": []}, id="no-pending"),
+    pytest.param({"unit": [[11, 4]]}, id="pending-nested"),
+    pytest.param({"unit": 11}, id="pending-flat"),
+    pytest.param({"unit": [11, 4, 5]}, id="pending-three-values"),
+    pytest.param({"unit": [11, "4"]}, id="pending-text-degree"),
+    pytest.param({"unit": None}, id="pending-null"),
+    pytest.param({"unit": [12, 7]}, id="pending-unit-out-of-range"),
+    pytest.param({"unit": [12, 2]}, id="pending-degree-below-floor"),
+    pytest.param({"unit": [10, 4]}, id="pending-edges-below-lower-bound"),
+    pytest.param({"unit": [13, 4]}, id="pending-edges-above-max-edges"),
     pytest.param({"unit_offset": -1}, id="negative-offset"),
     pytest.param({"graphs_examined": -5}, id="negative-examined"),
     pytest.param({"graphs_examined": True}, id="boolean-examined"),
@@ -195,12 +201,13 @@ def test_resume_token_best_m_must_match_its_certificates():
     params = FTParams(1, 2, 3)
     cert = search_minimum(params).exemplars[0]
     data = _token_dict(params)
-    # a search that found its minimum 12 keeps only units of 12 edges
-    good = {**data, "pending": [[12, 6]], "best_m": 12,
+    # a search that found its minimum 12 stops only inside a unit of 12 edges
+    good = {**data, "unit": [12, 6], "best_m": 12,
             "best_certs": [[cert.n, format(cert.code, "x")]]}
     assert SearchResume.from_dict(good).best_m == 12
+    assert data["unit"][0] != 12
     for bad in ({"best_m": 11},
-                {"pending": data["pending"]},
+                {"unit": data["unit"]},
                 {"best_certs": [[8, format(cert.code, "x")]]},
                 {"best_certs": [[cert.n, format(cert.code & (cert.code - 1), "x")]]}):
         with pytest.raises(ValueError):
@@ -209,7 +216,7 @@ def test_resume_token_best_m_must_match_its_certificates():
 
 def test_resume_token_missing_fields_are_rejected():
     data = _token_dict()
-    for key in ("k", "pending", "best_m", "unit_offset"):
+    for key in ("k", "unit", "best_m", "unit_offset"):
         partial = dict(data)
         del partial[key]
         with pytest.raises(ValueError, match=key):
@@ -225,7 +232,54 @@ def test_resume_parameter_mismatch():
     with pytest.raises(ValueError):
         search_minimum(FTParams(1, 2, 3), max_edges=11, resume=partial.resume)
     with pytest.raises(ValueError):
-        search_minimum(FTParams(1, 2, 3), resume=replace(partial.resume, pending=()))
+        search_minimum(FTParams(1, 2, 3), resume=replace(partial.resume, unit=(10, 3)))
+
+
+def test_huge_max_edges_token_round_trips():
+    # validation is a bounds check on the cursor, so no unit list is built
+    data = {**_token_dict(), "max_edges": 10 ** 12}
+    token = SearchResume.from_dict(data)
+    assert token.max_edges == 10 ** 12
+    assert token.to_dict() == data
+
+
+def test_huge_max_edges_search_walks_units_lazily():
+    # units are walked from a cursor, so 10**9 edge counts cost no memory
+    report = search_minimum(FTParams(1, 2, 3), max_edges=10 ** 9)
+    assert report.minimum_found == 12
+    assert report.exhaustive
+    assert report.resume is None
+    assert report.max_edges == 10 ** 9
+
+
+def test_budget_hops_keep_their_stream_positions():
+    # (unit, unit_offset, graphs_examined) of each interruption: positions
+    # in the enumerator's stream, which saved tokens rely on
+    params = FTParams(2, 2, 3)
+    report = search_minimum(params, budget=Budget(graphs=12000))
+    hops = []
+    while report.resume is not None:
+        token = report.resume
+        hops.append((token.unit, token.unit_offset, token.graphs_examined))
+        report = search_minimum(params, budget=Budget(graphs=12000), resume=token)
+    assert hops == [((18, 4), 4544, 12288), ((18, 4), 16832, 24576),
+                    ((19, 4), 10874, 36864)]
+    assert report.minimum_found == 19
+    assert report.exhaustive
+    assert report.graphs_examined == 46328
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_enumerator_matches_bruteforce(n):
+    # the skip rule counts the later slots of each endpoint in closed form
+    for dmin in range(1, n):
+        for d0 in range(dmin, n):
+            for m in range((n * dmin + 1) // 2, n * (n - 1) // 2 + 1):
+                expected = sorted(
+                    g.adj for g in all_graphs_with_edges(n, m, min_degree=dmin)
+                    if g.adj[0] == mask_of(range(1, d0 + 1))
+                )
+                assert sorted(_iter_adjacencies(n, m, dmin, d0)) == expected
 
 
 def test_max_edges_cutoff_reports_nothing_found():
