@@ -5,10 +5,10 @@ adhesion sets on tree edges); a non-chordal verdict comes with a chordless
 cycle of length >= 4. Either certificate can be replayed against the graph.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
+from .connectivity import shortest_path
 from .graphs import Graph, bits, vertex_tuple
 
 __all__ = ["CliqueTree", "ChordalityResult", "chordality", "find_chordless_cycle"]
@@ -56,29 +56,6 @@ def _mcs(graph: Graph) -> tuple[list[int], list[int]]:
     return order, earlier
 
 
-def _bfs_path(adj: tuple[int, ...], start: int, goal: int, allowed: int) -> list[int] | None:
-    """Shortest path inside the induced subgraph on `allowed`, or None."""
-    if not (allowed >> start & 1) or not (allowed >> goal & 1):
-        return None
-    prev = {start: -1}
-    queue = deque([start])
-    seen = 1 << start
-    while queue:
-        u = queue.popleft()
-        if u == goal:
-            path = []
-            while u != -1:
-                path.append(u)
-                u = prev[u]
-            path.reverse()
-            return path
-        for v in bits(adj[u] & allowed & ~seen):
-            seen |= 1 << v
-            prev[v] = u
-            queue.append(v)
-    return None
-
-
 def find_chordless_cycle(graph: Graph) -> tuple[int, ...] | None:
     """An induced cycle of length >= 4, or None if none exists.
 
@@ -97,7 +74,7 @@ def find_chordless_cycle(graph: Graph) -> tuple[int, ...] | None:
             if adj[u] >> y & 1:
                 continue
             allowed = (full & ~adj[v] & ~(1 << v)) | (1 << u) | (1 << y)
-            path = _bfs_path(adj, u, y, allowed)
+            path = shortest_path(adj, u, y, allowed)
             if path is not None:
                 return (v, *path)
     return None

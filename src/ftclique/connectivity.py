@@ -1,6 +1,13 @@
-"""Components and exact vertex / edge connectivity via augmenting paths."""
+"""Components and exact vertex / edge connectivity.
+
+Both connectivity numbers come from one unit-capacity max flow on bitmask
+arcs (`_max_flow`), which augments along the shortest residual paths that
+`shortest_path` finds; chordality reuses the same BFS for its chordless
+cycles.
+"""
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .graphs import Graph, bits, vertex_tuple
@@ -47,101 +54,95 @@ def is_connected(graph: Graph) -> bool:
     return len(component_masks(graph.adj, graph.full_mask)) == 1
 
 
-def _max_flow(cap: list[list[int]], source: int, sink: int) -> int:
-    """Edmonds-Karp on a dense capacity matrix. Sizes here are tiny."""
-    size = len(cap)
-    flow = 0
+def shortest_path(adj: Sequence[int], start: int, goal: int, allowed: int) -> list[int] | None:
+    """Shortest start-goal path inside the subgraph induced on `allowed`, or None.
+
+    adj[u] is the mask of u's out-neighbors, so directed arcs work too.
+    """
+    if not (allowed >> start & 1) or not (allowed >> goal & 1):
+        return None
+    prev = {start: -1}
+    queue = deque([start])
+    seen = 1 << start
+    while queue:
+        u = queue.popleft()
+        if u == goal:
+            path = []
+            while u != -1:
+                path.append(u)
+                u = prev[u]
+            path.reverse()
+            return path
+        for v in bits(adj[u] & allowed & ~seen):
+            seen |= 1 << v
+            prev[v] = u
+            queue.append(v)
+    return None
+
+
+def _max_flow(arcs: list[int], source: int, sink: int) -> int:
+    """Unit-capacity max flow by shortest augmenting paths on bitmask arcs.
+
+    arcs[u] is the mask of heads of u's arcs, each of capacity 1. flow[u]
+    holds the heads of u's arcs that carry a unit and back[v] the tails of
+    arcs into v that carry one, so the residual arcs of u are
+    (arcs[u] & ~flow[u]) | back[u]. Pushing a unit along u -> v cancels a
+    unit on v -> u when there is one.
+    """
+    size = len(arcs)
+    flow = [0] * size
+    back = [0] * size
+    every = (1 << size) - 1
+    value = 0
     while True:
-        parent = [-1] * size
-        parent[source] = source
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            if u == sink:
-                break
-            row = cap[u]
-            for v in range(size):
-                if row[v] > 0 and parent[v] < 0:
-                    parent[v] = u
-                    queue.append(v)
-        if parent[sink] < 0:
-            return flow
-        # bottleneck along the path
-        add = None
-        v = sink
-        while v != source:
-            u = parent[v]
-            if add is None or cap[u][v] < add:
-                add = cap[u][v]
-            v = u
-        v = sink
-        while v != source:
-            u = parent[v]
-            cap[u][v] -= add
-            cap[v][u] += add
-            v = u
-        flow += add
+        residual = [(a & ~f) | b for a, f, b in zip(arcs, flow, back)]
+        path = shortest_path(residual, source, sink, every)
+        if path is None:
+            return value
+        for u, v in zip(path, path[1:]):
+            if back[u] >> v & 1:
+                back[u] ^= 1 << v
+                flow[v] ^= 1 << u
+            else:
+                flow[u] |= 1 << v
+                back[v] |= 1 << u
+        value += 1
 
 
 def edge_connectivity(graph: Graph) -> int:
     """Minimum number of edges whose deletion disconnects the graph.
 
     0 for disconnected or trivial graphs. Computed as the minimum over all
-    targets t of the max flow from a fixed source with unit edge capacities.
+    targets t of the max flow from vertex 0, with each edge an arc of
+    capacity 1 in both directions; a t in another component gets flow 0.
     """
-    n = graph.n
-    if n <= 1 or not is_connected(graph):
+    if graph.n <= 1:
         return 0
-    best = None
-    for t in range(1, n):
-        cap = [[0] * n for _ in range(n)]
-        for u in range(n):
-            for v in bits(graph.adj[u]):
-                cap[u][v] = 1
-        f = _max_flow(cap, 0, t)
-        if best is None or f < best:
-            best = f
-            if best == 0:
-                break
-    return best
+    return min(_max_flow(graph.adj, 0, t) for t in range(1, graph.n))
 
 
 def vertex_connectivity(graph: Graph) -> int:
     """Minimum number of vertices whose deletion disconnects the graph.
 
     n-1 for complete graphs (convention), 0 for disconnected or trivial
-    ones. Uses vertex-split max flow; by Menger it suffices to scan pairs
-    (s, t) with s ranging over a minimum-degree vertex and its neighbors,
-    because a minimum separator misses at least one vertex of that set.
+    ones. Each vertex v splits into an in-node v with one unit arc to an
+    out-node v + n, whose arcs go to the in-nodes of v's neighbors; the
+    flow from s + n to a non-neighbor t counts internally disjoint s-t
+    paths. By Menger it suffices to scan s over a minimum-degree vertex
+    and its neighbors (Even's source set, S. Even, SIAM J. Comput. 4,
+    1975): a minimum separator misses at least one vertex of that set.
     """
     n = graph.n
     if n <= 1:
         return 0
-    full = graph.full_mask
-    if all(graph.adj[v] == full ^ (1 << v) for v in range(n)):
-        return n - 1
-    if not is_connected(graph):
-        return 0
-
-    v0 = min(range(n), key=lambda v: graph.adj[v].bit_count())
-    sources = [v0, *bits(graph.adj[v0])]
-    big = n
-    best = None
-    for s in sources:
-        non_adjacent = full & ~graph.adj[s] & ~(1 << s)
-        for t in bits(non_adjacent):
-            # node v -> (in=v, out=v+n); internal arc capacity 1
-            cap = [[0] * (2 * n) for _ in range(2 * n)]
-            for v in range(n):
-                cap[v][v + n] = big if v in (s, t) else 1
-                for w in bits(graph.adj[v]):
-                    cap[v + n][w] = big
-            f = _max_flow(cap, s + n, t)
-            if best is None or f < best:
-                best = f
-                if best == 0:
-                    return 0
-    return best if best is not None else n - 1
+    adj = graph.adj
+    arcs = [1 << (v + n) for v in range(n)] + list(adj)
+    v0 = min(range(n), key=lambda v: adj[v].bit_count())
+    best = n - 1
+    for s in (v0, *bits(adj[v0])):
+        for t in bits(graph.full_mask & ~adj[s] & ~(1 << s)):
+            best = min(best, _max_flow(arcs, s + n, t))
+    return best
 
 
 @dataclass(frozen=True)

@@ -160,6 +160,7 @@ def is_valid_packing(graph: Graph, packing: CliquePacking, p: int, c: int) -> bo
 
 def has_clique_containing(graph: Graph, v: int, c: int, allowed: int | None = None) -> bool:
     """True iff some c-clique contains v, drawn from the `allowed` mask."""
+    graph._check_vertex(v)
     if c < 1:
         raise ValueError(f"c must be >= 1, got {c}")
     adj = graph.adj

@@ -58,7 +58,7 @@ class Budget:
     graphs: int | None = None
 
     def __post_init__(self) -> None:
-        if self.seconds is not None and self.seconds <= 0:
+        if self.seconds is not None and not self.seconds > 0:  # also rejects nan
             raise ValueError(f"seconds budget must be positive, got {self.seconds}")
         if self.graphs is not None and self.graphs < 1:
             raise ValueError(f"graphs budget must be >= 1, got {self.graphs}")

@@ -290,6 +290,15 @@ def test_search_min_rejects_malformed_state(tmp_path, capsys, stored):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize("seconds", ["nan", "0", "-2"])
+def test_search_min_rejects_seconds_budgets_that_are_not_positive(capsys, seconds):
+    code, out, err = run(capsys, "search-min", "--k", "1", "--p", "2", "--c", "3",
+                         "--budget-seconds", seconds)
+    assert code == 2
+    assert out == ""
+    assert "seconds budget" in json.loads(err)["error"]
+
+
 def _interrupted_state(tmp_path, capsys):
     state = tmp_path / "state.json"
     code, _, _ = run(capsys, "search-min", "--k", "2", "--p", "2", "--c", "3",

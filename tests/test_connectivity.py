@@ -2,7 +2,12 @@
 
 import random
 
+import networkx as nx
+from networkx.algorithms.connectivity import local_edge_connectivity, local_node_connectivity
+
 from ftclique import (
+    Graph,
+    TreeTemplate,
     complete_graph,
     components,
     connectivity,
@@ -12,9 +17,12 @@ from ftclique import (
     empty_graph,
     is_connected,
     path_graph,
+    relabeled,
     star_construction,
+    tree_of_cliques,
     vertex_connectivity,
 )
+from ftclique.connectivity import _max_flow
 from helpers import (
     edge_connectivity_bruteforce,
     random_graph,
@@ -63,11 +71,61 @@ def test_hub_family_reaches_the_degree_floor():
 
 def test_matches_bruteforce_on_random_graphs():
     rng = random.Random(5150)
+    graphs = [complete_graph(n) for n in range(1, 7)]
     for _ in range(60):
         n = rng.randint(2, 7)
-        g = random_graph(rng, n, rng.choice([0.25, 0.5, 0.75]))
+        graphs.append(random_graph(rng, n, rng.choice([0.25, 0.5, 0.75])))
+    for _ in range(15):
+        a = random_graph(rng, rng.randint(1, 4), rng.choice([0.5, 1.0]))
+        b = random_graph(rng, rng.randint(1, 4), rng.choice([0.5, 1.0]))
+        graphs.append(disjoint_union(a, b))
+    for g in graphs:
         assert edge_connectivity(g) == edge_connectivity_bruteforce(g)
         assert vertex_connectivity(g) == vertex_connectivity_bruteforce(g)
+
+
+def _split_arcs(g: Graph) -> list[int]:
+    """In-node v has one arc to out-node v + n, whose arcs go to N(v)."""
+    return [1 << (v + g.n) for v in range(g.n)] + list(g.adj)
+
+
+def test_flow_cancels_units_on_reverse_arcs():
+    # The second shortest augmenting path from 3 to 7 runs back along a
+    # unit of the first; a flow that adds a forward unit there instead of
+    # cancelling it counts 3 disjoint paths where only 2 exist.
+    g = Graph(8, [(0, 2), (0, 4), (0, 5), (0, 6), (0, 7), (1, 2), (1, 6),
+                  (1, 7), (2, 3), (2, 5), (2, 6), (3, 4), (3, 5), (6, 7)])
+    assert _max_flow(_split_arcs(g), 3 + g.n, 7) == 2
+
+
+def test_local_flows_match_networkx():
+    rng = random.Random(3003)
+    for _ in range(25):
+        n = rng.randint(2, 10)
+        g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+        nxg = nx.Graph(g.edges())
+        nxg.add_nodes_from(range(n))
+        arcs = _split_arcs(g)
+        for s in range(n):
+            for t in range(s + 1, n):
+                assert _max_flow(g.adj, s, t) == local_edge_connectivity(nxg, s, t)
+                if not g.has_edge(s, t):
+                    assert _max_flow(arcs, s + n, t) == local_node_connectivity(nxg, s, t)
+
+
+def test_constructions_match_networkx():
+    rng = random.Random(1)
+    families = [star_construction(2, 12, 3),
+                tree_of_cliques(2, 4, TreeTemplate.path(6, 2, 4)),
+                tree_of_cliques(1, 3, TreeTemplate.path(12, 1, 3)),
+                tree_of_cliques(3, 4, TreeTemplate.path(4, 3, 4))]
+    for g in families:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        shuffled = relabeled(g, perm)
+        nxg = nx.Graph(shuffled.edges())
+        assert vertex_connectivity(shuffled) == nx.node_connectivity(nxg)
+        assert edge_connectivity(shuffled) == nx.edge_connectivity(nxg)
 
 
 def test_whitney_inequalities():

@@ -117,3 +117,9 @@ def test_has_clique_containing():
     # restricting the allowed pool can remove every completion
     assert not has_clique_containing(k4, 2, 4, allowed=mask_of([0, 1, 2]))
     assert has_clique_containing(k4, 2, 3, allowed=mask_of([0, 1, 2]))
+
+
+@pytest.mark.parametrize("v, allowed", [(5, 1 << 5), (3, None), (-1, None)])
+def test_has_clique_containing_rejects_unknown_vertices(v, allowed):
+    with pytest.raises(ValueError, match="out of range"):
+        has_clique_containing(complete_graph(3), v, 2, allowed)

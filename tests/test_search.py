@@ -117,6 +117,12 @@ def test_order_guard():
         search_minimum(FTParams(1, 22, 3))
 
 
+@pytest.mark.parametrize("seconds", [0, -1.0, float("nan")])
+def test_budget_rejects_seconds_that_are_not_positive(seconds):
+    with pytest.raises(ValueError, match="seconds budget"):
+        Budget(seconds=seconds)
+
+
 def test_budget_stops_and_resume_finishes():
     params = FTParams(1, 2, 3)
     full = search_minimum(params)
