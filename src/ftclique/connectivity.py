@@ -80,25 +80,26 @@ def shortest_path(adj: Sequence[int], start: int, goal: int, allowed: int) -> li
     return None
 
 
-def _max_flow(arcs: list[int], source: int, sink: int) -> int:
+def _max_flow(arcs: list[int], source: int, sink: int, limit: int | None = None) -> int:
     """Unit-capacity max flow by shortest augmenting paths on bitmask arcs.
 
     arcs[u] is the mask of heads of u's arcs, each of capacity 1. flow[u]
     holds the heads of u's arcs that carry a unit and back[v] the tails of
     arcs into v that carry one, so the residual arcs of u are
     (arcs[u] & ~flow[u]) | back[u]. Pushing a unit along u -> v cancels a
-    unit on v -> u when there is one.
+    unit on v -> u when there is one. With a limit the flow stops once it
+    reaches it, so the result is min(max flow, limit).
     """
     size = len(arcs)
     flow = [0] * size
     back = [0] * size
     every = (1 << size) - 1
     value = 0
-    while True:
+    while limit is None or value < limit:
         residual = [(a & ~f) | b for a, f, b in zip(arcs, flow, back)]
         path = shortest_path(residual, source, sink, every)
         if path is None:
-            return value
+            break
         for u, v in zip(path, path[1:]):
             if back[u] >> v & 1:
                 back[u] ^= 1 << v
@@ -107,6 +108,7 @@ def _max_flow(arcs: list[int], source: int, sink: int) -> int:
                 flow[u] |= 1 << v
                 back[v] |= 1 << u
         value += 1
+    return value
 
 
 def edge_connectivity(graph: Graph) -> int:
@@ -115,10 +117,15 @@ def edge_connectivity(graph: Graph) -> int:
     0 for disconnected or trivial graphs. Computed as the minimum over all
     targets t of the max flow from vertex 0, with each edge an arc of
     capacity 1 in both directions; a t in another component gets flow 0.
+    Each flow stops at the best value so far, which starts at the minimum
+    degree (Whitney: vertex <= edge connectivity <= minimum degree).
     """
     if graph.n <= 1:
         return 0
-    return min(_max_flow(graph.adj, 0, t) for t in range(1, graph.n))
+    best = min(graph.degrees())
+    for t in range(1, graph.n):
+        best = _max_flow(graph.adj, 0, t, best)
+    return best
 
 
 def vertex_connectivity(graph: Graph) -> int:
@@ -131,6 +138,8 @@ def vertex_connectivity(graph: Graph) -> int:
     paths. By Menger it suffices to scan s over a minimum-degree vertex
     and its neighbors (Even's source set, S. Even, SIAM J. Comput. 4,
     1975): a minimum separator misses at least one vertex of that set.
+    Each flow stops at the best value so far, which starts at the minimum
+    degree.
     """
     n = graph.n
     if n <= 1:
@@ -138,10 +147,10 @@ def vertex_connectivity(graph: Graph) -> int:
     adj = graph.adj
     arcs = [1 << (v + n) for v in range(n)] + list(adj)
     v0 = min(range(n), key=lambda v: adj[v].bit_count())
-    best = n - 1
+    best = adj[v0].bit_count()
     for s in (v0, *bits(adj[v0])):
         for t in bits(graph.full_mask & ~adj[s] & ~(1 << s)):
-            best = min(best, _max_flow(arcs, s + n, t))
+            best = _max_flow(arcs, s + n, t, best)
     return best
 
 

@@ -108,8 +108,10 @@ def parse_graph6(data: str | bytes) -> Graph:
             text = data.decode("ascii")
         except UnicodeDecodeError:
             raise ValueError("graph6 input is not ASCII") from None
-    else:
+    elif isinstance(data, str):
         text = data
+    else:
+        raise TypeError(f"graph6 input must be str or bytes, not {type(data).__name__}")
     text = text.strip()
     if text.startswith(_G6_HEADER):
         text = text[len(_G6_HEADER):].lstrip()

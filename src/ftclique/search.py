@@ -10,11 +10,10 @@ from `audit` (tight-degree vertices have clique closed neighborhoods,
 every vertex lies in a c-clique) before it is canonicalized; survivors are
 deduplicated by canonical certificate and verified once per class. Units
 run in (m, d0) order and are idempotent, which makes budget interruption
-and resumption safe: a token names the first unfinished unit and how far
-into it the enumeration got; every later unit is implied.
+and resumption safe: a token names the first unfinished unit and the last
+graph of it already examined; every later unit is implied.
 """
 
-import itertools
 import time
 from dataclasses import dataclass, field, fields, replace
 from math import comb
@@ -22,7 +21,7 @@ from math import comb
 from .audit import tight_vertex_with_open_closure, vertex_in_no_clique
 from .canon import CanonicalForm, canonical_form, canonical_graph
 from .connectivity import is_connected
-from .formats import emit_graph6
+from .formats import emit_graph6, parse_graph6
 from .graphs import Graph, mask_of
 from .verify import (
     FTParams,
@@ -42,10 +41,9 @@ __all__ = [
 ]
 
 _MASK_ORDER_LIMIT = 64
-_CHECK_EVERY = 512
 # Resume tokens record a position in the enumerator's stream, so they are
 # only valid for the token format and enumerator that wrote them.
-RESUME_VERSION = 3
+RESUME_VERSION = 4
 ENUMERATOR_ID = "lex-slots/degree-floor-d0"
 
 
@@ -75,11 +73,11 @@ class SearchResume:
     """Everything needed to continue an interrupted search.
 
     unit is the first unfinished (edge count, degree-of-vertex-0) work
-    unit: unit_offset graphs of it are already counted and must be skipped
-    on resume. The units after it, up to max_edges (or only those of best_m
-    edges once a solution is found), are owed. graphs_examined is
-    cumulative over all runs. Construction rejects, with ValueError, any
-    token that no interrupted search can have written.
+    unit and after its last graph already counted (None if none is). The
+    units after it, up to max_edges (or only those of best_m edges once a
+    solution is found), are owed. graphs_examined is cumulative over all
+    runs. Construction rejects, with ValueError, any token that no
+    interrupted search can have written.
     """
 
     k: int
@@ -90,11 +88,11 @@ class SearchResume:
     best_m: int | None
     best_certs: tuple[CanonicalForm, ...]
     graphs_examined: int
-    unit_offset: int = 0
+    after: Graph | None = None
 
     def __post_init__(self) -> None:
         ints = [self.k, self.p, self.c, self.max_edges, self.graphs_examined,
-                self.unit_offset, *self.unit,
+                *self.unit,
                 *(cf.n for cf in self.best_certs), *(cf.code for cf in self.best_certs)]
         if self.best_m is not None:
             ints.append(self.best_m)
@@ -104,11 +102,8 @@ class SearchResume:
         n = params.critical_order
         if n > _MASK_ORDER_LIMIT:
             raise ValueError(f"resume token order {n} exceeds {_MASK_ORDER_LIMIT}")
-        if self.unit_offset < 0 or self.graphs_examined < self.unit_offset:
-            raise ValueError(
-                "resume token needs 0 <= unit_offset <= graphs_examined, got "
-                f"{self.unit_offset} and {self.graphs_examined}"
-            )
+        if self.graphs_examined < 0:
+            raise ValueError(f"resume token graphs_examined {self.graphs_examined} < 0")
         dmin, lower = _floor_and_lower(params)
         m, d0 = self.unit
         # A solution at best_m means every smaller edge count is done and
@@ -130,6 +125,10 @@ class SearchResume:
                 f"resume token unit {self.unit} is outside m in "
                 f"[{lower}, {self.max_edges}], d0 in [{dmin}, {n - 1}]"
             )
+        g = self.after  # must be a graph the enumerator yields in unit
+        if g is not None and not (g.n == n and g.edge_count == m and min(g.degrees()) >= d0
+                                  and g.adj[0] == mask_of(range(1, d0 + 1))):
+            raise ValueError(f"resume token after is not a graph of unit {self.unit}")
 
     def to_dict(self) -> dict:
         return {
@@ -143,7 +142,7 @@ class SearchResume:
             "best_m": self.best_m,
             "best_certs": [[cf.n, format(cf.code, "x")] for cf in self.best_certs],
             "graphs_examined": self.graphs_examined,
-            "unit_offset": self.unit_offset,
+            "after": None if self.after is None else emit_graph6(self.after).strip(),
         }
 
     @classmethod
@@ -167,10 +166,12 @@ class SearchResume:
             values["unit"] = (m, d0)
             values["best_certs"] = tuple(CanonicalForm(n, int(code, 16))
                                          for n, code in data["best_certs"])
+            after = data["after"]
+            values["after"] = None if after is None else parse_graph6(after)
         except (TypeError, ValueError):
             raise ValueError(
-                "resume token unit must be an [m, d0] pair and best_certs "
-                "[n, hex code] pairs"
+                "resume token unit must be an [m, d0] pair, best_certs "
+                "[n, hex code] pairs and after a graph6 string or null"
             ) from None
         return cls(**values)
 
@@ -190,8 +191,8 @@ class SearchReport:
     resume: SearchResume | None
     notes: tuple[str, ...] = field(default=())
     # Work counts of this call alone (graphs_examined is cumulative over
-    # resumed runs): labeled_graphs taken from the enumerator, a resumed
-    # unit's skipped prefix excluded; each is either rejected by one
+    # resumed runs): labeled_graphs taken from the enumerator, none of
+    # them twice across resumes; each is either rejected by one
     # necessary condition (rejected, keyed by the audit check id) or
     # canonicalized (canonical_forms). new_classes of those were unseen at
     # their edge count, verify_calls of those were verified (the
@@ -221,14 +222,16 @@ class SearchReport:
         }
 
 
-def _iter_adjacencies(n: int, m: int, dmin: int, d0: int):
+def _iter_adjacencies(n: int, m: int, dmin: int, d0: int, after=None):
     """All m-edge graphs with N(0) == {1..d0} and min degree >= dmin.
 
     Remaining edges are chosen among vertices 1..n-1 in lexicographic slot
     order. Prunings: total degree deficit must stay within 2 per missing
     edge; skipping a slot must leave each endpoint enough later slots to
     reach the floor; no degree may exceed 2m - d0 - (n-2)*dmin, the cap
-    forced by everyone else needing the floor.
+    forced by everyone else needing the floor. Slots are taken before they
+    are skipped, so past `after` (a yielded tuple) the walk takes only its
+    slots on its path, leaves it by their skip branches and skips its leaf.
     """
     rem = m - d0
     if rem < 0 or not dmin <= d0 <= n - 1:
@@ -243,8 +246,6 @@ def _iter_adjacencies(n: int, m: int, dmin: int, d0: int):
     slots = [(u, v, dmin - (n - 1 - v), dmin - (n - 2 - u))
              for u in range(1, n) for v in range(u + 1, n)]
     total_slots = len(slots)
-    if rem > total_slots:
-        return
 
     adj = [0] * n
     adj[0] = mask_of(range(1, d0 + 1))
@@ -255,32 +256,33 @@ def _iter_adjacencies(n: int, m: int, dmin: int, d0: int):
         deg[v] = 1
     deficit0 = sum(max(0, dmin - deg[v]) for v in range(1, n))
 
-    def walk(i: int, need: int, deficit: int):
+    def walk(i: int, need: int, deficit: int, path):
         if deficit > 2 * need:
             return
         if need == 0:
-            if deficit == 0:
+            if deficit == 0 and path is None:
                 yield tuple(adj)
             return
         if total_slots - i < need:
             return
         u, v, skip_u, skip_v = slots[i]
         du, dv = deg[u], deg[v]
-        if du < cap_rest and dv < cap_rest:
+        on_take = path is None or path[u] >> v & 1
+        if on_take and du < cap_rest and dv < cap_rest:
             delta = (du < dmin) + (dv < dmin)
             adj[u] |= 1 << v
             adj[v] |= 1 << u
             deg[u] = du + 1
             deg[v] = dv + 1
-            yield from walk(i + 1, need - 1, deficit - delta)
+            yield from walk(i + 1, need - 1, deficit - delta, path)
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)
             deg[u] = du
             deg[v] = dv
         if du >= skip_u and dv >= skip_v:
-            yield from walk(i + 1, need, deficit)
+            yield from walk(i + 1, need, deficit, None if on_take else path)
 
-    yield from walk(0, rem, deficit0)
+    yield from walk(0, rem, deficit0, after)
 
 
 def search_minimum(params: FTParams, max_edges: int | None = None,
@@ -313,7 +315,7 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
         best_m = resume.best_m
         best_certs: set[CanonicalForm] = set(resume.best_certs)
         examined = resume.graphs_examined
-        offset = resume.unit_offset
+        after = resume.after
     else:
         if max_edges is None:
             max_edges = bound
@@ -321,7 +323,7 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
         best_m = None
         best_certs = set()
         examined = 0
-        offset = 0
+        after = None
     last_m = max_edges if best_m is None else best_m
 
     budget = budget or Budget()
@@ -331,9 +333,7 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
     def over_budget(examined: int) -> bool:
         if budget.graphs is not None and examined - baseline >= budget.graphs:
             return True
-        if budget.seconds is not None and time.monotonic() - start > budget.seconds:
-            return True
-        return False
+        return budget.seconds is not None and time.monotonic() - start > budget.seconds
 
     # Both the filter and the connectivity prune rest on c >= 3 (the audits'
     # premise); below it they could discard accepted graphs.
@@ -344,10 +344,10 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
     seen: set[CanonicalForm] = set()
 
     # Walk the units (m, d0) from the cursor up to last_m; a solution at
-    # best_m drops every larger edge count. offset counts the graphs of the
-    # current unit already in examined, so an earlier run's are skipped.
+    # best_m drops every larger edge count. after is the last graph of the
+    # current unit already in examined, and the walk resumes past it.
     while m <= last_m and not over_budget(examined):
-        for adj in itertools.islice(_iter_adjacencies(n, m, d0, d0), offset, None):
+        for adj in _iter_adjacencies(n, m, d0, d0, None if after is None else after.adj):
             g = Graph._from_adj(n, adj)
             if filtered and tight_vertex_with_open_closure(g, dmin) is not None:
                 rejected_tight += 1
@@ -365,12 +365,12 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
                             if best_m is None:
                                 best_m = last_m = m
                             best_certs.add(cert)
-            offset += 1
+            after = g
             examined += 1
-            if examined % _CHECK_EVERY == 0 and over_budget(examined):
+            if over_budget(examined):
                 break
         else:  # unit done: advance the cursor
-            offset = 0
+            after = None
             d0 += 1
             if d0 == n:
                 m, d0, seen = m + 1, dmin, set()
@@ -384,7 +384,7 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
     if m <= last_m:
         token = SearchResume(
             k, p, c, max_edges, (m, d0), best_m,
-            tuple(sorted(best_certs)), examined, offset,
+            tuple(sorted(best_certs)), examined, after,
         )
         notes.append("budget exhausted; resume token covers the remaining units")
         if best_m is not None:

@@ -209,10 +209,10 @@ def all_graphs_with_edges(n: int, m: int, min_degree: int = 0):
 def search_minimum_reference(params):
     """Unfiltered minimum-edge search: (minimum, exemplar certificates).
 
-    The search as first written: every m-edge graph with N(0) = {1..d0}
-    and minimum degree c + k - 1 (not d0) is canonicalized, and every new
-    class is verified, with no necessary-condition filter or connectivity
-    prune. The library search must find the same minimum and classes.
+    Every m-edge graph with N(0) = {1..d0} and minimum degree c + k - 1
+    (not d0) is verified, with no necessary-condition filter, connectivity
+    prune or deduplication, and only the accepted ones are canonicalized.
+    The library search must find the same minimum and classes.
     """
     from ftclique import canonical_form, degree_floor, hub_edge_bound, verify_ft
     from ftclique.search import _iter_adjacencies
@@ -220,18 +220,46 @@ def search_minimum_reference(params):
     n = params.critical_order
     dmin = degree_floor(params.k, params.c)
     for m in range((n * dmin + 1) // 2, hub_edge_bound(params.k, params.p, params.c) + 1):
-        seen, found = set(), set()
+        found = set()
         for d0 in range(dmin, n):
             for adj in _iter_adjacencies(n, m, dmin, d0):
                 g = Graph._from_adj(n, adj)
-                cert = canonical_form(g)
-                if cert not in seen:
-                    seen.add(cert)
-                    if verify_ft(g, params).holds:
-                        found.add(cert)
+                if verify_ft(g, params).holds:
+                    found.add(canonical_form(g))
         if found:
             return m, found
     return None, set()
+
+
+def bad_resume_afters(after: str, d0: int) -> dict:
+    """JSON values for a resume token's after field, keyed by their fault,
+    none of which a search of the token's unit can have written: its
+    graphs have after's order and edge count, N(0) = {1..d0} and minimum
+    degree d0. Each graph is after changed in one way."""
+    from ftclique import emit_graph6, parse_graph6
+
+    g = parse_graph6(after)
+    n, edges = g.n, g.edges()
+    inner = [(u, v) for u in range(1, n) for v in range(u + 1, n)]
+    swap = {d0: d0 + 1, d0 + 1: d0}
+    # move an edge off a vertex of degree d0, which then falls below it
+    x, y = next((u, v) for u, v in edges if u >= 1 and d0 in (g.degree(u), g.degree(v)))
+    low = x if g.degree(x) == d0 else y
+    moved = next(e for e in inner if e not in edges and low not in e)
+    spare = next(e for e in inner if e not in edges)
+
+    def g6(order, edge_list):
+        return emit_graph6(Graph(order, edge_list)).strip()
+
+    return {
+        "wrong-order": g6(n + 1, edges),
+        "wrong-edge-count": g6(n, edges + [spare]),
+        "other-first-neighborhood": g6(n, [(swap.get(u, u), swap.get(v, v))
+                                           for u, v in edges]),
+        "degree-below-d0": g6(n, [e for e in edges if e != (x, y)] + [moved]),
+        "malformed-graph6": after[:-1],
+        "number": 12345,
+    }
 
 
 def packing_after_deletion_reference(g: Graph, p: int, c: int, deleted):

@@ -19,6 +19,7 @@ from ftclique import (
 from ftclique import audit as audit_module
 from ftclique import verify as verify_module
 from ftclique.cli import _build_parser, main
+from helpers import bad_resume_afters
 
 
 def run(capsys, *argv):
@@ -327,6 +328,33 @@ def test_search_min_rejects_unversioned_state(tmp_path, capsys):
                          "--state", str(state))
     assert code == 2
     assert "version" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("fault", [
+    "wrong-order", "wrong-edge-count", "other-first-neighborhood",
+    "degree-below-d0", "malformed-graph6", "number",
+])
+def test_search_min_rejects_an_after_graph_outside_its_unit(tmp_path, capsys, fault):
+    state, stored = _interrupted_state(tmp_path, capsys)
+    after = bad_resume_afters(stored["after"], stored["unit"][1])[fault]
+    state.write_text(json.dumps({**stored, "after": after}))
+    code, out, err = run(capsys, "search-min", "--k", "2", "--p", "2", "--c", "3",
+                         "--state", str(state))
+    assert code == 2
+    assert out == ""
+    assert "after" in json.loads(err)["error"]
+
+
+def test_search_min_rejects_a_version_3_state(tmp_path, capsys):
+    # version 3 counted the unit's graphs already examined (unit_offset)
+    state, stored = _interrupted_state(tmp_path, capsys)
+    del stored["after"]
+    state.write_text(json.dumps({**stored, "version": 3, "unit_offset": 600}))
+    code, out, err = run(capsys, "search-min", "--k", "2", "--p", "2", "--c", "3",
+                         "--state", str(state))
+    assert code == 2
+    assert out == ""
+    assert "afresh" in json.loads(err)["error"]
 
 
 def test_search_min_without_state(capsys):

@@ -1,5 +1,6 @@
 """Components, edge connectivity, vertex connectivity."""
 
+import importlib
 import random
 
 import networkx as nx
@@ -23,6 +24,7 @@ from ftclique import (
     vertex_connectivity,
 )
 from ftclique.connectivity import _max_flow
+from ftclique.graphs import bits
 from helpers import (
     edge_connectivity_bruteforce,
     random_graph,
@@ -96,6 +98,48 @@ def test_flow_cancels_units_on_reverse_arcs():
     g = Graph(8, [(0, 2), (0, 4), (0, 5), (0, 6), (0, 7), (1, 2), (1, 6),
                   (1, 7), (2, 3), (2, 5), (2, 6), (3, 4), (3, 5), (6, 7)])
     assert _max_flow(_split_arcs(g), 3 + g.n, 7) == 2
+
+
+def test_flows_stop_at_the_best_value_so_far(monkeypatch):
+    # path(2,6,4): kappa = 2, lambda = minimum degree = 5
+    module = importlib.import_module("ftclique.connectivity")
+    rounds = []
+
+    def counting(*args):
+        rounds.append(args)
+        return shortest_path(*args)
+
+    shortest_path = module.shortest_path
+    monkeypatch.setattr(module, "shortest_path", counting)
+    g = tree_of_cliques(2, 4, TreeTemplate.path(6, 2, 4))
+    delta = min(g.degrees())
+    assert edge_connectivity(g) == delta == 5
+    # every flow from 0 stops at delta without a failing search
+    assert len(rounds) == delta * (g.n - 1)
+    rounds.clear()
+    assert vertex_connectivity(g) == 2
+    v0 = g.degrees().index(delta)
+    pairs = sum(len(list(bits(g.full_mask & ~g.adj[s] & ~(1 << s))))
+                for s in (v0, *bits(g.adj[v0])))
+    # once the best is 2 a pair costs at most 2 rounds; a flow run to its
+    # maximum 2 costs 3, one of them the search that finds no path
+    assert len(rounds) <= 2 * pairs + delta + 1 < 3 * pairs
+
+
+def test_limited_flow_is_the_capped_max_flow():
+    rng = random.Random(4004)
+    for _ in range(25):
+        n = rng.randint(2, 9)
+        g = random_graph(rng, n, rng.choice([0.3, 0.6]))
+        arcs = _split_arcs(g)
+        for s in range(n):
+            for t in range(s + 1, n):
+                for limit in range(4):
+                    assert (_max_flow(g.adj, s, t, limit)
+                            == min(_max_flow(g.adj, s, t), limit))
+                    if not g.has_edge(s, t):
+                        assert (_max_flow(arcs, s + n, t, limit)
+                                == min(_max_flow(arcs, s + n, t), limit))
 
 
 def test_local_flows_match_networkx():

@@ -106,6 +106,12 @@ def test_graph6_strictness():
     parse_graph6("A_")  # clean single edge
 
 
+@pytest.mark.parametrize("data", [5, None, ["D~{"]])
+def test_graph6_rejects_input_that_is_not_text(data):
+    with pytest.raises(TypeError, match="str or bytes"):
+        parse_graph6(data)
+
+
 def test_order_limit_is_shared_by_both_formats():
     # the header's order is checked before n adjacency masks are allocated
     for n in (MAX_ORDER + 1, 10 ** 9):

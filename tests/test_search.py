@@ -16,9 +16,11 @@ from ftclique import (
     star_construction,
     verify_ft,
 )
+from ftclique import search as search_module
+from ftclique.formats import emit_graph6
 from ftclique.graphs import mask_of
 from ftclique.search import _iter_adjacencies
-from helpers import all_graphs_with_edges, search_minimum_reference
+from helpers import all_graphs_with_edges, bad_resume_afters, search_minimum_reference
 
 # Every parameter set with critical order p*c + k <= 8 (41 of them).
 SMALL_PARAMS = [
@@ -163,8 +165,9 @@ def _token_dict(params=FTParams(1, 2, 3), graphs=10):
 
 def test_resume_token_carries_version_and_enumerator():
     data = _token_dict()
-    assert data["version"] == 3
+    assert data["version"] == 4
     assert isinstance(data["enumerator"], str)
+    assert isinstance(data["after"], str) and "unit_offset" not in data
     for key in ("version", "enumerator"):
         stale = dict(data)
         del stale[key]
@@ -172,6 +175,18 @@ def test_resume_token_carries_version_and_enumerator():
             SearchResume.from_dict(stale)
     with pytest.raises(ValueError):
         SearchResume.from_dict({**data, "version": 2})
+    # a version-3 token counted its unit's graphs instead of naming the last
+    version3 = {key: value for key, value in data.items() if key != "after"}
+    with pytest.raises(ValueError, match="afresh"):
+        SearchResume.from_dict({**version3, "version": 3, "unit_offset": 10})
+
+
+def test_resume_token_after_must_be_a_graph_of_its_unit():
+    data = _token_dict()
+    assert SearchResume.from_dict({**data, "after": None}).after is None
+    for after in bad_resume_afters(data["after"], data["unit"][1]).values():
+        with pytest.raises(ValueError, match="after"):
+            SearchResume.from_dict({**data, "after": after})
 
 
 @pytest.mark.parametrize("change", [
@@ -187,7 +202,7 @@ def test_resume_token_carries_version_and_enumerator():
     pytest.param({"unit": [12, 2]}, id="pending-degree-below-floor"),
     pytest.param({"unit": [10, 4]}, id="pending-edges-below-lower-bound"),
     pytest.param({"unit": [13, 4]}, id="pending-edges-above-max-edges"),
-    pytest.param({"unit_offset": -1}, id="negative-offset"),
+    pytest.param({"after": ""}, id="empty-after"),
     pytest.param({"graphs_examined": -5}, id="negative-examined"),
     pytest.param({"graphs_examined": True}, id="boolean-examined"),
     pytest.param({"k": "1"}, id="text-k"),
@@ -208,7 +223,7 @@ def test_resume_token_best_m_must_match_its_certificates():
     cert = search_minimum(params).exemplars[0]
     data = _token_dict(params)
     # a search that found its minimum 12 stops only inside a unit of 12 edges
-    good = {**data, "unit": [12, 6], "best_m": 12,
+    good = {**data, "unit": [12, 6], "best_m": 12, "after": None,
             "best_certs": [[cert.n, format(cert.code, "x")]]}
     assert SearchResume.from_dict(good).best_m == 12
     assert data["unit"][0] != 12
@@ -222,7 +237,7 @@ def test_resume_token_best_m_must_match_its_certificates():
 
 def test_resume_token_missing_fields_are_rejected():
     data = _token_dict()
-    for key in ("k", "unit", "best_m", "unit_offset"):
+    for key in ("k", "unit", "best_m", "after"):
         partial = dict(data)
         del partial[key]
         with pytest.raises(ValueError, match=key):
@@ -258,26 +273,43 @@ def test_huge_max_edges_search_walks_units_lazily():
     assert report.max_edges == 10 ** 9
 
 
-def test_budget_hops_keep_their_stream_positions():
-    # (unit, unit_offset, graphs_examined) of each interruption: positions
-    # in the enumerator's stream, which saved tokens rely on
+def test_budget_hops_keep_their_stream_positions(monkeypatch):
+    # (unit, after, graphs_examined) of each interruption: positions in the
+    # enumerator's stream, which saved tokens rely on. A graph budget is
+    # exact, and a hop takes from the enumerator only the graphs it counts.
+    taken = []
+
+    def counting(*args):
+        for adj in _iter_adjacencies(*args):
+            taken[-1] += 1
+            yield adj
+
+    monkeypatch.setattr(search_module, "_iter_adjacencies", counting)
     params = FTParams(2, 2, 3)
-    report = search_minimum(params, budget=Budget(graphs=12000))
-    hops = []
-    while report.resume is not None:
+    report, hops = None, []
+    while report is None or report.resume is not None:
+        assert len(taken) < 10
+        taken.append(0)
+        report = search_minimum(params, budget=Budget(graphs=12000),
+                                resume=None if report is None else report.resume)
+        assert taken[-1] == report.stats["labeled_graphs"]
         token = report.resume
-        hops.append((token.unit, token.unit_offset, token.graphs_examined))
-        report = search_minimum(params, budget=Budget(graphs=12000), resume=token)
-    assert hops == [((18, 4), 4544, 12288), ((18, 4), 16832, 24576),
-                    ((19, 4), 10874, 36864)]
+        if token is not None:
+            hops.append((token.unit, emit_graph6(token.after).strip(),
+                         token.graphs_examined))
+    assert hops == [((18, 4), "G}kZik", 12000), ((18, 4), "GtxYxw", 24000),
+                    ((19, 4), "G||pW{", 36000)]
+    assert taken == [12000, 12000, 12000, 10328]
     assert report.minimum_found == 19
     assert report.exhaustive
     assert report.graphs_examined == 46328
+    assert [emit_graph6(g).strip() for g in report.exemplar_graphs()] == ["GJaN~{"]
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_enumerator_matches_bruteforce(n):
-    # the skip rule counts the later slots of each endpoint in closed form
+    # the skip rule counts the later slots of each endpoint in closed form;
+    # seeking past a graph yields exactly the rest of the stream
     for dmin in range(1, n):
         for d0 in range(dmin, n):
             for m in range((n * dmin + 1) // 2, n * (n - 1) // 2 + 1):
@@ -285,7 +317,10 @@ def test_enumerator_matches_bruteforce(n):
                     g.adj for g in all_graphs_with_edges(n, m, min_degree=dmin)
                     if g.adj[0] == mask_of(range(1, d0 + 1))
                 )
-                assert sorted(_iter_adjacencies(n, m, dmin, d0)) == expected
+                stream = list(_iter_adjacencies(n, m, dmin, d0))
+                assert sorted(stream) == expected
+                for i, after in enumerate(stream):
+                    assert list(_iter_adjacencies(n, m, dmin, d0, after)) == stream[i + 1:]
 
 
 def test_max_edges_cutoff_reports_nothing_found():
