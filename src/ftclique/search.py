@@ -5,13 +5,16 @@ which vertex 0 is adjacent to exactly 1..d0 and every vertex has degree at
 least d0. Every isomorphism class with minimum degree delta has such a
 representative with d0 = delta (put a minimum-degree vertex at 0), so
 walking d0 over [c+k-1, n-1] covers all classes with the forced degree
-floor. For c >= 3 each labeled graph then meets the necessary conditions
-from `audit` (tight-degree vertices have clique closed neighborhoods,
-every vertex lies in a c-clique) before it is canonicalized; survivors are
-deduplicated by canonical certificate and verified once per class. Units
-run in (m, d0) order and are idempotent, which makes budget interruption
-and resumption safe: a token names the first unfinished unit and the last
-graph of it already examined; every later unit is implied.
+floor. For c >= 3 the enumerator yields only graphs whose vertices of
+degree c+k-1 have clique closed neighborhoods (a necessary condition from
+`audit`, applied while the graph is built so dead branches are never
+walked), and each yielded graph must put every vertex in a c-clique
+before it is canonicalized; survivors are deduplicated by canonical
+certificate and verified once per class. Units run in (m, d0) order and
+are idempotent, which makes budget interruption and resumption safe: a
+token names the first unfinished unit, the last graph of it already
+examined and the classes already checked at its edge count; every later
+unit is implied.
 """
 
 import time
@@ -22,7 +25,7 @@ from .audit import tight_vertex_with_open_closure, vertex_in_no_clique
 from .canon import CanonicalForm, canonical_form, canonical_graph
 from .connectivity import is_connected
 from .formats import emit_graph6, parse_graph6
-from .graphs import Graph, mask_of
+from .graphs import Graph, bits, mask_of
 from .verify import (
     FTParams,
     FTVerdict,
@@ -43,8 +46,8 @@ __all__ = [
 _MASK_ORDER_LIMIT = 64
 # Resume tokens record a position in the enumerator's stream, so they are
 # only valid for the token format and enumerator that wrote them.
-RESUME_VERSION = 4
-ENUMERATOR_ID = "lex-slots/degree-floor-d0"
+RESUME_VERSION = 5
+ENUMERATOR_ID = "lex-slots/degree-floor-d0/tight-closure"
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,10 @@ class Budget:
             raise ValueError(f"graphs budget must be >= 1, got {self.graphs}")
 
 
+def _certs_to_json(certs: tuple[CanonicalForm, ...]) -> list:
+    return [[cf.n, format(cf.code, "x")] for cf in certs]
+
+
 def _floor_and_lower(params: FTParams) -> tuple[int, int]:
     """Forced degree floor and the edge count it forces at the critical order."""
     dmin = degree_floor(params.k, params.c)
@@ -75,9 +82,10 @@ class SearchResume:
     unit is the first unfinished (edge count, degree-of-vertex-0) work
     unit and after its last graph already counted (None if none is). The
     units after it, up to max_edges (or only those of best_m edges once a
-    solution is found), are owed. graphs_examined is cumulative over all
-    runs. Construction rejects, with ValueError, any token that no
-    interrupted search can have written.
+    solution is found), are owed. seen_certs are the classes already
+    checked at the unit's edge count, so a resumed run checks none twice.
+    graphs_examined is cumulative over all runs. Construction rejects, with
+    ValueError, any token that no interrupted search can have written.
     """
 
     k: int
@@ -89,11 +97,12 @@ class SearchResume:
     best_certs: tuple[CanonicalForm, ...]
     graphs_examined: int
     after: Graph | None = None
+    seen_certs: tuple[CanonicalForm, ...] = ()
 
     def __post_init__(self) -> None:
+        certs = (*self.best_certs, *self.seen_certs)
         ints = [self.k, self.p, self.c, self.max_edges, self.graphs_examined,
-                *self.unit,
-                *(cf.n for cf in self.best_certs), *(cf.code for cf in self.best_certs)]
+                *self.unit, *(cf.n for cf in certs), *(cf.code for cf in certs)]
         if self.best_m is not None:
             ints.append(self.best_m)
         if any(type(x) is not int for x in ints):
@@ -106,14 +115,20 @@ class SearchResume:
             raise ValueError(f"resume token graphs_examined {self.graphs_examined} < 0")
         dmin, lower = _floor_and_lower(params)
         m, d0 = self.unit
+        pairs = comb(n, 2)
+        if not all(cf.n == n and cf.code >= 0 and cf.code.bit_length() <= pairs
+                   and cf.code.bit_count() == m for cf in certs):
+            raise ValueError(
+                f"resume token certificates are not graphs of {n} vertices "
+                f"and {m} edges"
+            )
         # A solution at best_m means every smaller edge count is done and
-        # every larger one dropped, so the search stopped inside best_m.
+        # every larger one dropped, so the search stopped inside best_m,
+        # and every accepted class was one already seen there.
         if self.best_m is not None:
-            pairs = comb(n, 2)
             if not (lower <= self.best_m <= self.max_edges and m == self.best_m
-                    and self.best_certs and all(
-                        cf.n == n and cf.code >= 0 and cf.code.bit_length() <= pairs
-                        and cf.code.bit_count() == self.best_m for cf in self.best_certs)):
+                    and self.best_certs
+                    and set(self.best_certs) <= set(self.seen_certs)):
                 raise ValueError(
                     f"resume token best_m {self.best_m} disagrees with its "
                     "certificates or unit"
@@ -126,8 +141,10 @@ class SearchResume:
                 f"[{lower}, {self.max_edges}], d0 in [{dmin}, {n - 1}]"
             )
         g = self.after  # must be a graph the enumerator yields in unit
-        if g is not None and not (g.n == n and g.edge_count == m and min(g.degrees()) >= d0
-                                  and g.adj[0] == mask_of(range(1, d0 + 1))):
+        if g is not None and not (
+                g.n == n and g.edge_count == m and min(g.degrees()) >= d0
+                and g.adj[0] == mask_of(range(1, d0 + 1))
+                and (self.c < 3 or tight_vertex_with_open_closure(g, dmin) is None)):
             raise ValueError(f"resume token after is not a graph of unit {self.unit}")
 
     def to_dict(self) -> dict:
@@ -140,9 +157,10 @@ class SearchResume:
             "max_edges": self.max_edges,
             "unit": list(self.unit),
             "best_m": self.best_m,
-            "best_certs": [[cf.n, format(cf.code, "x")] for cf in self.best_certs],
+            "best_certs": _certs_to_json(self.best_certs),
             "graphs_examined": self.graphs_examined,
             "after": None if self.after is None else emit_graph6(self.after).strip(),
+            "seen_certs": _certs_to_json(self.seen_certs),
         }
 
     @classmethod
@@ -164,14 +182,14 @@ class SearchResume:
         try:
             m, d0 = data["unit"]
             values["unit"] = (m, d0)
-            values["best_certs"] = tuple(CanonicalForm(n, int(code, 16))
-                                         for n, code in data["best_certs"])
+            for name in ("best_certs", "seen_certs"):
+                values[name] = tuple(CanonicalForm(n, int(code, 16)) for n, code in data[name])
             after = data["after"]
             values["after"] = None if after is None else parse_graph6(after)
         except (TypeError, ValueError):
             raise ValueError(
-                "resume token unit must be an [m, d0] pair, best_certs "
-                "[n, hex code] pairs and after a graph6 string or null"
+                "resume token unit must be an [m, d0] pair, best_certs and "
+                "seen_certs [n, hex code] pairs and after a graph6 string or null"
             ) from None
         return cls(**values)
 
@@ -195,8 +213,9 @@ class SearchReport:
     # them twice across resumes; each is either rejected by one
     # necessary condition (rejected, keyed by the audit check id) or
     # canonicalized (canonical_forms). new_classes of those were unseen at
-    # their edge count, verify_calls of those were verified (the
-    # connectivity prune skips disconnected ones), and accepted of those hold.
+    # their edge count, also by earlier runs, verify_calls of those were
+    # verified (the connectivity prune skips disconnected ones), and
+    # accepted of those hold.
     stats: dict = field(default_factory=dict, compare=False)
 
     def exemplar_graphs(self) -> list[Graph]:
@@ -222,7 +241,7 @@ class SearchReport:
         }
 
 
-def _iter_adjacencies(n: int, m: int, dmin: int, d0: int, after=None):
+def _iter_adjacencies(n: int, m: int, dmin: int, d0: int, after=None, tight=None):
     """All m-edge graphs with N(0) == {1..d0} and min degree >= dmin.
 
     Remaining edges are chosen among vertices 1..n-1 in lexicographic slot
@@ -232,6 +251,16 @@ def _iter_adjacencies(n: int, m: int, dmin: int, d0: int, after=None):
     forced by everyone else needing the floor. Slots are taken before they
     are skipped, so past `after` (a yielded tuple) the walk takes only its
     slots on its path, leaves it by their skip branches and skips its leaf.
+
+    With a `tight` degree, only graphs in which every vertex of that degree
+    has a clique closed neighborhood are yielded, in the same order, and
+    dead branches are cut early. Vertex x is final once its last slot
+    (x, n-1) is decided (vertex 0 from the start), and for a final vertex
+    w of degree tight: (i) no slot with both ends in N(w) may be skipped,
+    so when d0 == tight N[0] is a clique; (ii) the walk stops as soon as a
+    final x in N[w] has N[w] not inside N[x], which catches the pairs
+    decided before w was final. The leaf checks the vertices that become
+    final together.
     """
     rem = m - d0
     if rem < 0 or not dmin <= d0 <= n - 1:
@@ -246,6 +275,18 @@ def _iter_adjacencies(n: int, m: int, dmin: int, d0: int, after=None):
     slots = [(u, v, dmin - (n - 1 - v), dmin - (n - 2 - u))
              for u in range(1, n) for v in range(u + 1, n)]
     total_slots = len(slots)
+    # Vertex x < n-2 becomes final on entering the walk at the slot after
+    # (x, n-1); closing[i] names it (0: none) and final[i] is the final
+    # set there. Vertices n-2 and n-1 become final together at the leaf.
+    closing = [0] * (total_slots + 1)
+    final = [1] * (total_slots + 1)
+    if tight is not None:
+        for i, (u, v, _, _) in enumerate(slots):
+            final[i + 1] = final[i]
+            if v == n - 1 and u < n - 2:
+                closing[i + 1] = u
+                final[i + 1] |= 1 << u
+    full = (1 << n) - 1
 
     adj = [0] * n
     adj[0] = mask_of(range(1, d0 + 1))
@@ -256,11 +297,35 @@ def _iter_adjacencies(n: int, m: int, dmin: int, d0: int, after=None):
         deg[v] = 1
     deficit0 = sum(max(0, dmin - deg[v]) for v in range(1, n))
 
-    def walk(i: int, need: int, deficit: int, path):
+    def closes(x: int, done: int, tight_done: int) -> int:
+        # tight_done (the final vertices of degree tight) once x is final
+        # among the final vertices done, or -1 if x breaks the tight rule.
+        closed_x = adj[x] | 1 << x
+        if deg[x] == tight:
+            for y in bits(adj[x] & done):
+                if closed_x & ~(adj[y] | 1 << y):
+                    return -1
+            tight_done |= 1 << x
+        for w in bits(adj[x] & tight_done):
+            if (adj[w] | 1 << w) & ~closed_x:
+                return -1
+        return tight_done
+
+    def walk(i: int, need: int, deficit: int, path, tight_done: int):
         if deficit > 2 * need:
             return
+        x = closing[i]
+        if x:
+            tight_done = closes(x, final[i], tight_done)
+            if tight_done < 0:
+                return
         if need == 0:
             if deficit == 0 and path is None:
+                if tight is not None:
+                    for x in bits(full & ~final[i]):
+                        tight_done = closes(x, full, tight_done)
+                        if tight_done < 0:
+                            return
                 yield tuple(adj)
             return
         if total_slots - i < need:
@@ -274,15 +339,15 @@ def _iter_adjacencies(n: int, m: int, dmin: int, d0: int, after=None):
             adj[v] |= 1 << u
             deg[u] = du + 1
             deg[v] = dv + 1
-            yield from walk(i + 1, need - 1, deficit - delta, path)
+            yield from walk(i + 1, need - 1, deficit - delta, path, tight_done)
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)
             deg[u] = du
             deg[v] = dv
-        if du >= skip_u and dv >= skip_v:
-            yield from walk(i + 1, need, deficit, None if on_take else path)
+        if du >= skip_u and dv >= skip_v and not adj[u] & adj[v] & tight_done:
+            yield from walk(i + 1, need, deficit, None if on_take else path, tight_done)
 
-    yield from walk(0, rem, deficit0, after)
+    yield from walk(0, rem, deficit0, after, 1 if d0 == tight else 0)
 
 
 def search_minimum(params: FTParams, max_edges: int | None = None,
@@ -294,9 +359,10 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
     with a solution, and reports every solution at that m as a canonical
     certificate. With a budget the run may stop early, in which case the
     report carries a resume token; resumed runs reproduce exactly the
-    unbudgeted result. Every labeled graph enumerated counts towards
-    graphs_examined and the graphs budget, including those the necessary
-    conditions reject before canonicalization.
+    unbudgeted result. Every labeled graph the enumerator yields counts
+    towards graphs_examined and the graphs budget, including those the
+    clique filter rejects before canonicalization; branches the enumerator
+    cuts count for nothing.
     """
     k, p, c = params.k, params.p, params.c
     n = params.critical_order
@@ -314,6 +380,7 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
         m, d0 = resume.unit
         best_m = resume.best_m
         best_certs: set[CanonicalForm] = set(resume.best_certs)
+        seen: set[CanonicalForm] = set(resume.seen_certs)
         examined = resume.graphs_examined
         after = resume.after
     else:
@@ -322,6 +389,7 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
         m, d0 = lower, dmin
         best_m = None
         best_certs = set()
+        seen = set()
         examined = 0
         after = None
     last_m = max_edges if best_m is None else best_m
@@ -335,23 +403,22 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
             return True
         return budget.seconds is not None and time.monotonic() - start > budget.seconds
 
-    # Both the filter and the connectivity prune rest on c >= 3 (the audits'
-    # premise); below it they could discard accepted graphs.
+    # The tight rule, the clique filter and the connectivity prune rest on
+    # c >= 3 (the audits' premise); below it they could discard accepted
+    # graphs. The enumerator applies the tight rule itself.
     filtered = c >= 3
+    tight = dmin if filtered else None
     connectivity_prune = k >= 1 and c >= 3
-    rejected_tight = rejected_clique = 0
+    rejected_clique = 0
     new_classes = verify_calls = accepted = 0
-    seen: set[CanonicalForm] = set()
 
     # Walk the units (m, d0) from the cursor up to last_m; a solution at
     # best_m drops every larger edge count. after is the last graph of the
     # current unit already in examined, and the walk resumes past it.
     while m <= last_m and not over_budget(examined):
-        for adj in _iter_adjacencies(n, m, d0, d0, None if after is None else after.adj):
+        for adj in _iter_adjacencies(n, m, d0, d0, None if after is None else after.adj, tight):
             g = Graph._from_adj(n, adj)
-            if filtered and tight_vertex_with_open_closure(g, dmin) is not None:
-                rejected_tight += 1
-            elif filtered and vertex_in_no_clique(g, c) is not None:
+            if filtered and vertex_in_no_clique(g, c) is not None:
                 rejected_clique += 1
             else:
                 cert = canonical_form(g)
@@ -384,7 +451,7 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
     if m <= last_m:
         token = SearchResume(
             k, p, c, max_edges, (m, d0), best_m,
-            tuple(sorted(best_certs)), examined, after,
+            tuple(sorted(best_certs)), examined, after, tuple(sorted(seen)),
         )
         notes.append("budget exhausted; resume token covers the remaining units")
         if best_m is not None:
@@ -413,11 +480,8 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
         notes=tuple(notes),
         stats={
             "labeled_graphs": examined - baseline,
-            "rejected": {
-                "tight-degree-closed-clique": rejected_tight,
-                "vertex-clique": rejected_clique,
-            },
-            "canonical_forms": examined - baseline - rejected_tight - rejected_clique,
+            "rejected": {"vertex-clique": rejected_clique},
+            "canonical_forms": examined - baseline - rejected_clique,
             "new_classes": new_classes,
             "verify_calls": verify_calls,
             "accepted": accepted,

@@ -231,11 +231,12 @@ def search_minimum_reference(params):
     return None, set()
 
 
-def bad_resume_afters(after: str, d0: int) -> dict:
+def bad_resume_afters(after: str, d0: int, tight: int) -> dict:
     """JSON values for a resume token's after field, keyed by their fault,
     none of which a search of the token's unit can have written: its
-    graphs have after's order and edge count, N(0) = {1..d0} and minimum
-    degree d0. Each graph is after changed in one way."""
+    graphs have after's order and edge count, N(0) = {1..d0}, minimum
+    degree d0 and a clique closed neighborhood at every vertex of degree
+    tight. Each graph is after changed in one way."""
     from ftclique import emit_graph6, parse_graph6
 
     g = parse_graph6(after)
@@ -248,6 +249,19 @@ def bad_resume_afters(after: str, d0: int) -> dict:
     moved = next(e for e in inner if e not in edges and low not in e)
     spare = next(e for e in inner if e not in edges)
 
+    def open_tight(edge_list):
+        h = Graph(n, edge_list)
+        return min(h.degrees()) >= d0 and any(
+            h.degree(v) == tight and not all(
+                h.has_edge(a, b) for a, b in combinations(h.neighborhood(v), 2))
+            for v in range(n))
+
+    # move one edge among 1..n-1 so that the unit holds but a vertex of
+    # degree tight gets a non-adjacent pair of neighbors
+    opened = next(kept + [add] for drop in edges if drop[0] >= 1
+                  for kept in [[e for e in edges if e != drop]]
+                  for add in inner if add not in edges and open_tight(kept + [add]))
+
     def g6(order, edge_list):
         return emit_graph6(Graph(order, edge_list)).strip()
 
@@ -257,6 +271,7 @@ def bad_resume_afters(after: str, d0: int) -> dict:
         "other-first-neighborhood": g6(n, [(swap.get(u, u), swap.get(v, v))
                                            for u, v in edges]),
         "degree-below-d0": g6(n, [e for e in edges if e != (x, y)] + [moved]),
+        "open-tight-closure": g6(n, opened),
         "malformed-graph6": after[:-1],
         "number": 12345,
     }

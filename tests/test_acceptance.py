@@ -139,13 +139,14 @@ def test_forced_complete_graph_minima():
 def test_bound_tightness_probe_2_2_3():
     started = time.monotonic()
     # Deliberately undersized budget: the run must interrupt, hand back a
-    # serializable token, and finish across resumed invocations.
-    report = probe_conjecture(2, 2, 3, Budget(graphs=12000))
+    # serializable token, and finish across resumed invocations. The
+    # search yields 6 graphs, so a budget of 2 stops it mid-unit.
+    report = probe_conjecture(2, 2, 3, Budget(graphs=2))
     hops = 1
     assert report.resume is not None, "budget did not interrupt the run"
     while report.resume is not None:
         token = type(report.resume).from_dict(report.resume.to_dict())
-        report = probe_conjecture(2, 2, 3, Budget(graphs=12000), resume=token)
+        report = probe_conjecture(2, 2, 3, Budget(graphs=2), resume=token)
         hops += 1
         assert hops < 50
     assert report.minimum_found == 19
@@ -159,6 +160,27 @@ def test_bound_tightness_probe_2_2_3():
         "19 achieved by the hub construction, resumable across budgets",
         started, 7200.0,
         f"{report.graphs_examined} graphs over {hops} budgeted runs",
+    )
+
+
+def test_bound_tightness_probe_2_2_4():
+    started = time.monotonic()
+    report = probe_conjecture(2, 2, 4)
+    assert report.exhaustive, "edge counts 25..29 were not fully covered"
+    assert report.n == 10 and report.lower_bound == 25
+    assert report.minimum_found == report.target_bound == 29
+    exemplars = report.exemplar_graphs()
+    assert [emit_graph6(g).strip() for g in exemplars] == ["IJ]CKN~~w"]
+    assert canonical_form(star_construction(2, 2, 4)) in report.exemplars
+    for g in exemplars:
+        assert verify_ft_oracle(g, FTParams(2, 2, 4)).holds
+    assert "bound confirmed tight at these parameters" in report.notes
+    _report(
+        "tightness probe (2,2,4): nothing below 29 edges on 10 vertices, "
+        "29 achieved by the hub construction alone",
+        started, 60.0,
+        f"{report.graphs_examined} graphs, {report.stats['canonical_forms']} "
+        "canonical forms",
     )
 
 

@@ -214,8 +214,9 @@ def test_audit_sweeps_the_k_subsets_once(tmp_path, capsys, monkeypatch):
 
 def test_search_min_with_state(tmp_path, capsys):
     state = tmp_path / "state.json"
+    # (1,2,3) yields 3 graphs, so one graph stops it mid-unit
     code, report, _ = run_json(capsys, "search-min", "--k", "1", "--p", "2",
-                               "--c", "3", "--budget-graphs", "40",
+                               "--c", "3", "--budget-graphs", "1",
                                "--state", str(state))
     assert code == 2
     assert report["resume"] is not None
@@ -302,8 +303,9 @@ def test_search_min_rejects_seconds_budgets_that_are_not_positive(capsys, second
 
 def _interrupted_state(tmp_path, capsys):
     state = tmp_path / "state.json"
+    # (2,2,3) yields 6 graphs, all in unit (19, 4)
     code, _, _ = run(capsys, "search-min", "--k", "2", "--p", "2", "--c", "3",
-                     "--budget-graphs", "600", "--state", str(state))
+                     "--budget-graphs", "2", "--state", str(state))
     assert code == 2
     return state, json.loads(state.read_text())
 
@@ -332,11 +334,11 @@ def test_search_min_rejects_unversioned_state(tmp_path, capsys):
 
 @pytest.mark.parametrize("fault", [
     "wrong-order", "wrong-edge-count", "other-first-neighborhood",
-    "degree-below-d0", "malformed-graph6", "number",
+    "degree-below-d0", "open-tight-closure", "malformed-graph6", "number",
 ])
 def test_search_min_rejects_an_after_graph_outside_its_unit(tmp_path, capsys, fault):
     state, stored = _interrupted_state(tmp_path, capsys)
-    after = bad_resume_afters(stored["after"], stored["unit"][1])[fault]
+    after = bad_resume_afters(stored["after"], stored["unit"][1], 4)[fault]
     state.write_text(json.dumps({**stored, "after": after}))
     code, out, err = run(capsys, "search-min", "--k", "2", "--p", "2", "--c", "3",
                          "--state", str(state))
@@ -349,7 +351,21 @@ def test_search_min_rejects_a_version_3_state(tmp_path, capsys):
     # version 3 counted the unit's graphs already examined (unit_offset)
     state, stored = _interrupted_state(tmp_path, capsys)
     del stored["after"]
-    state.write_text(json.dumps({**stored, "version": 3, "unit_offset": 600}))
+    state.write_text(json.dumps({**stored, "version": 3, "unit_offset": 2}))
+    code, out, err = run(capsys, "search-min", "--k", "2", "--p", "2", "--c", "3",
+                         "--state", str(state))
+    assert code == 2
+    assert out == ""
+    assert "afresh" in json.loads(err)["error"]
+
+
+def test_search_min_rejects_a_version_4_state(tmp_path, capsys):
+    # version 4 named a graph of the stream before open tight closures
+    # were cut, and carried no seen classes
+    state, stored = _interrupted_state(tmp_path, capsys)
+    del stored["seen_certs"]
+    state.write_text(json.dumps({**stored, "version": 4,
+                                 "enumerator": "lex-slots/degree-floor-d0"}))
     code, out, err = run(capsys, "search-min", "--k", "2", "--p", "2", "--c", "3",
                          "--state", str(state))
     assert code == 2

@@ -17,8 +17,9 @@ from ftclique import (
     verify_ft,
 )
 from ftclique import search as search_module
+from ftclique.audit import tight_vertex_with_open_closure
 from ftclique.formats import emit_graph6
-from ftclique.graphs import mask_of
+from ftclique.graphs import Graph, mask_of
 from ftclique.search import _iter_adjacencies
 from helpers import all_graphs_with_edges, bad_resume_afters, search_minimum_reference
 
@@ -103,11 +104,13 @@ def test_search_matches_unfiltered_reference(k, p, c):
 
 
 def test_filter_rejects_before_canonical_forms():
+    # the enumerator cuts every graph with an open tight closure, so only
+    # the clique filter is left to reject anything
     report = search_minimum(FTParams(2, 2, 3))
     stats = report.stats
-    assert report.graphs_examined == stats["labeled_graphs"] == 46328
-    assert sum(stats["rejected"].values()) + stats["canonical_forms"] == 46328
-    assert set(stats["rejected"]) == {"tight-degree-closed-clique", "vertex-clique"}
+    assert report.graphs_examined == stats["labeled_graphs"] == 6
+    assert sum(stats["rejected"].values()) + stats["canonical_forms"] == 6
+    assert set(stats["rejected"]) == {"vertex-clique"}
     assert stats["canonical_forms"] == 6
     assert stats["new_classes"] == stats["verify_calls"] == stats["accepted"] == 1
     assert report.to_dict()["stats"] == stats
@@ -129,7 +132,8 @@ def test_budget_stops_and_resume_finishes():
     params = FTParams(1, 2, 3)
     full = search_minimum(params)
 
-    partial = search_minimum(params, budget=Budget(graphs=50))
+    # (1,2,3) yields 3 graphs, all in unit (12, 3): one stops mid-unit
+    partial = search_minimum(params, budget=Budget(graphs=1))
     assert partial.resume is not None
     assert not partial.exhaustive
     assert any("budget" in note for note in partial.notes)
@@ -147,7 +151,7 @@ def test_budget_stops_and_resume_finishes():
 
 def test_resume_token_round_trips_through_json():
     params = FTParams(1, 2, 3)
-    partial = search_minimum(params, budget=Budget(graphs=10))
+    partial = search_minimum(params, budget=Budget(graphs=1))
     token = partial.resume
     assert token is not None
     rebuilt = SearchResume.from_dict(token.to_dict())
@@ -157,17 +161,18 @@ def test_resume_token_round_trips_through_json():
     assert resumed.minimum_found == 12
 
 
-def _token_dict(params=FTParams(1, 2, 3), graphs=10):
-    token = search_minimum(params, budget=Budget(graphs=graphs)).resume
+def _token_dict(params=FTParams(1, 2, 3)):
+    token = search_minimum(params, budget=Budget(graphs=1)).resume
     assert token is not None
     return token.to_dict()
 
 
 def test_resume_token_carries_version_and_enumerator():
     data = _token_dict()
-    assert data["version"] == 4
+    assert data["version"] == 5
     assert isinstance(data["enumerator"], str)
     assert isinstance(data["after"], str) and "unit_offset" not in data
+    assert isinstance(data["seen_certs"], list)
     for key in ("version", "enumerator"):
         stale = dict(data)
         del stale[key]
@@ -179,19 +184,26 @@ def test_resume_token_carries_version_and_enumerator():
     version3 = {key: value for key, value in data.items() if key != "after"}
     with pytest.raises(ValueError, match="afresh"):
         SearchResume.from_dict({**version3, "version": 3, "unit_offset": 10})
+    # a version-4 token names a position in the stream before the
+    # enumerator cut open tight closures, and carried no seen classes
+    version4 = {key: value for key, value in data.items() if key != "seen_certs"}
+    with pytest.raises(ValueError, match="afresh"):
+        SearchResume.from_dict({**version4, "version": 4,
+                                "enumerator": "lex-slots/degree-floor-d0"})
 
 
 def test_resume_token_after_must_be_a_graph_of_its_unit():
     data = _token_dict()
     assert SearchResume.from_dict({**data, "after": None}).after is None
-    for after in bad_resume_afters(data["after"], data["unit"][1]).values():
+    for after in bad_resume_afters(data["after"], data["unit"][1], 3).values():
         with pytest.raises(ValueError, match="after"):
             SearchResume.from_dict({**data, "after": after})
 
 
 @pytest.mark.parametrize("change", [
     # unit is the first pending (m, d0) unit; (1,2,3) has m in [11, 12]
-    # and d0 in [3, 6]
+    # and d0 in [3, 6], and one graph stops it in unit (12, 3) with its
+    # minimum 12 found
     pytest.param({"unit": []}, id="no-pending"),
     pytest.param({"unit": [[11, 4]]}, id="pending-nested"),
     pytest.param({"unit": 11}, id="pending-flat"),
@@ -207,8 +219,10 @@ def test_resume_token_after_must_be_a_graph_of_its_unit():
     pytest.param({"graphs_examined": True}, id="boolean-examined"),
     pytest.param({"k": "1"}, id="text-k"),
     pytest.param({"p": 0}, id="invalid-p"),
-    pytest.param({"best_m": 12}, id="best-m-without-certificates"),
-    pytest.param({"best_certs": [[7, "3f"]]}, id="certificates-without-best-m"),
+    pytest.param({"best_certs": []}, id="best-m-without-certificates"),
+    pytest.param({"best_m": None}, id="certificates-without-best-m"),
+    pytest.param({"seen_certs": [[7, "3f"]]}, id="seen-certificate-of-other-edge-count"),
+    pytest.param({"seen_certs": None}, id="seen-certificates-null"),
     pytest.param({"best_certs": [[7, "zz"]]}, id="certificate-not-hex"),
     pytest.param({"best_certs": [7]}, id="certificate-not-a-pair"),
 ])
@@ -221,23 +235,26 @@ def test_malformed_resume_tokens_are_rejected(change):
 def test_resume_token_best_m_must_match_its_certificates():
     params = FTParams(1, 2, 3)
     cert = search_minimum(params).exemplars[0]
-    data = _token_dict(params)
-    # a search that found its minimum 12 stops only inside a unit of 12 edges
-    good = {**data, "unit": [12, 6], "best_m": 12, "after": None,
+    # a search that found its minimum 12 stops only inside a unit of 12
+    # edges, having seen each accepted class there
+    good = {**_token_dict(params), "unit": [12, 6], "best_m": 12, "after": None,
             "best_certs": [[cert.n, format(cert.code, "x")]]}
+    assert good["seen_certs"] == good["best_certs"]
     assert SearchResume.from_dict(good).best_m == 12
-    assert data["unit"][0] != 12
+    short = [cert.n, format(cert.code & (cert.code - 1), "x")]
     for bad in ({"best_m": 11},
-                {"unit": data["unit"]},
+                {"unit": [11, 3]},
                 {"best_certs": [[8, format(cert.code, "x")]]},
-                {"best_certs": [[cert.n, format(cert.code & (cert.code - 1), "x")]]}):
+                {"best_certs": [short]},
+                {"seen_certs": []},
+                {"seen_certs": [*good["seen_certs"], short]}):
         with pytest.raises(ValueError):
             SearchResume.from_dict({**good, **bad})
 
 
 def test_resume_token_missing_fields_are_rejected():
     data = _token_dict()
-    for key in ("k", "unit", "best_m", "after"):
+    for key in ("k", "unit", "best_m", "after", "seen_certs"):
         partial = dict(data)
         del partial[key]
         with pytest.raises(ValueError, match=key):
@@ -247,7 +264,7 @@ def test_resume_token_missing_fields_are_rejected():
 
 
 def test_resume_parameter_mismatch():
-    partial = search_minimum(FTParams(1, 2, 3), budget=Budget(graphs=10))
+    partial = search_minimum(FTParams(1, 2, 3), budget=Budget(graphs=1))
     with pytest.raises(ValueError):
         search_minimum(FTParams(2, 2, 3), resume=partial.resume)
     with pytest.raises(ValueError):
@@ -290,19 +307,20 @@ def test_budget_hops_keep_their_stream_positions(monkeypatch):
     while report is None or report.resume is not None:
         assert len(taken) < 10
         taken.append(0)
-        report = search_minimum(params, budget=Budget(graphs=12000),
+        report = search_minimum(params, budget=Budget(graphs=2),
                                 resume=None if report is None else report.resume)
         assert taken[-1] == report.stats["labeled_graphs"]
         token = report.resume
         if token is not None:
             hops.append((token.unit, emit_graph6(token.after).strip(),
                          token.graphs_examined))
-    assert hops == [((18, 4), "G}kZik", 12000), ((18, 4), "GtxYxw", 24000),
-                    ((19, 4), "G||pW{", 36000)]
-    assert taken == [12000, 12000, 12000, 10328]
+    # all 6 graphs lie in unit (19, 4); the third hop stops on its last one
+    assert hops == [((19, 4), "G~|Qik", 2), ((19, 4), "G~{phk", 4),
+                    ((19, 4), "G~{Ww{", 6)]
+    assert taken == [2, 2, 2, 0]
     assert report.minimum_found == 19
     assert report.exhaustive
-    assert report.graphs_examined == 46328
+    assert report.graphs_examined == 6
     assert [emit_graph6(g).strip() for g in report.exemplar_graphs()] == ["GJaN~{"]
 
 
@@ -321,6 +339,68 @@ def test_enumerator_matches_bruteforce(n):
                 assert sorted(stream) == expected
                 for i, after in enumerate(stream):
                     assert list(_iter_adjacencies(n, m, dmin, d0, after)) == stream[i + 1:]
+
+
+def _tight_closed(n, adj, tight):
+    return tight_vertex_with_open_closure(Graph._from_adj(n, adj), tight) is None
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_tight_enumerator_is_the_filtered_stream(n):
+    # the in-walk prunings cut only graphs the tight rule rejects, and the
+    # leaf check rejects the rest; seeking works on the pruned stream too
+    for dmin in range(1, n):
+        for d0 in range(dmin, n):
+            for m in range((n * dmin + 1) // 2, n * (n - 1) // 2 + 1):
+                expected = [adj for adj in _iter_adjacencies(n, m, dmin, d0)
+                            if _tight_closed(n, adj, dmin)]
+                stream = list(_iter_adjacencies(n, m, dmin, d0, tight=dmin))
+                assert stream == expected
+                for i, after in enumerate(stream):
+                    assert list(_iter_adjacencies(n, m, dmin, d0, after, tight=dmin)) \
+                        == stream[i + 1:]
+
+
+@pytest.mark.parametrize("m", [16, 17, 18, 19])
+def test_tight_enumerator_on_the_2_2_3_units(m):
+    # the units (m, 4) of the (2,2,3) search, whose floor c+k-1 is 4
+    expected = [adj for adj in _iter_adjacencies(8, m, 4, 4) if _tight_closed(8, adj, 4)]
+    assert list(_iter_adjacencies(8, m, 4, 4, tight=4)) == expected
+    assert len(expected) == (6 if m == 19 else 0)
+
+
+@pytest.mark.parametrize("k,p,c,minimum,exemplars", [
+    (0, 3, 3, 9, {"H@LAKA@"}),
+    (1, 2, 4, 20, {"HJ]CKN~"}),
+    (3, 2, 3, 27, {"HLvnnv{", "HJaN~~~"}),
+])
+def test_order_9_minima(k, p, c, minimum, exemplars):
+    # recorded from the search before the enumerator cut open tight
+    # closures, which the unfiltered reference gates up to order 8
+    report = search_minimum(FTParams(k, p, c))
+    assert report.exhaustive
+    assert report.minimum_found == minimum
+    assert {emit_graph6(g).strip() for g in report.exemplar_graphs()} == exemplars
+
+
+def test_resumed_hops_check_each_class_once():
+    # the token carries the classes seen at its edge count, so hops of 50
+    # graphs canonicalize and verify no class twice
+    params = FTParams(3, 2, 3)
+    straight = search_minimum(params)
+    keys = ("labeled_graphs", "canonical_forms", "new_classes", "verify_calls", "accepted")
+    totals = dict.fromkeys(keys, 0)
+    report, hops = None, 0
+    while report is None or report.resume is not None:
+        report = search_minimum(params, budget=Budget(graphs=50),
+                                resume=None if report is None else report.resume)
+        hops += 1
+        for key in keys:
+            totals[key] += report.stats[key]
+    assert hops > 20
+    assert totals == {key: straight.stats[key] for key in keys}
+    assert (totals["new_classes"], totals["verify_calls"]) == (5, 5)
+    assert report.exemplars == straight.exemplars
 
 
 def test_max_edges_cutoff_reports_nothing_found():
