@@ -249,18 +249,17 @@ def bad_resume_afters(after: str, d0: int, tight: int) -> dict:
     moved = next(e for e in inner if e not in edges and low not in e)
     spare = next(e for e in inner if e not in edges)
 
-    def open_tight(edge_list):
-        h = Graph(n, edge_list)
-        return min(h.degrees()) >= d0 and any(
-            h.degree(v) == tight and not all(
-                h.has_edge(a, b) for a, b in combinations(h.neighborhood(v), 2))
-            for v in range(n))
-
-    # move one edge among 1..n-1 so that the unit holds but a vertex of
-    # degree tight gets a non-adjacent pair of neighbors
-    opened = next(kept + [add] for drop in edges if drop[0] >= 1
-                  for kept in [[e for e in edges if e != drop]]
-                  for add in inner if add not in edges and open_tight(kept + [add]))
+    def opened():
+        # move one edge among 1..n-1 so that the unit holds but a vertex of
+        # degree tight gets a non-adjacent pair of neighbors
+        for drop in edges:
+            kept = [e for e in edges if e != drop]
+            for add in inner:
+                h = Graph(n, kept + [add])
+                if drop[0] >= 1 and add not in edges and min(h.degrees()) >= d0 and any(
+                        h.degree(v) == tight and not h.is_clique(h.neighborhood(v))
+                        for v in range(n)):
+                    return kept + [add]
 
     def g6(order, edge_list):
         return emit_graph6(Graph(order, edge_list)).strip()
@@ -271,7 +270,7 @@ def bad_resume_afters(after: str, d0: int, tight: int) -> dict:
         "other-first-neighborhood": g6(n, [(swap.get(u, u), swap.get(v, v))
                                            for u, v in edges]),
         "degree-below-d0": g6(n, [e for e in edges if e != (x, y)] + [moved]),
-        "open-tight-closure": g6(n, opened),
+        "open-tight-closure": g6(n, opened()),
         "malformed-graph6": after[:-1],
         "number": 12345,
     }
