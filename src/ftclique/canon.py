@@ -2,7 +2,14 @@
 
 Degree/color refinement plus individualization backtracking produces a
 certificate (n, code) that is equal for two graphs exactly when they are
-isomorphic. Intended for the search regime.
+isomorphic (McKay and Piperno, "Practical graph isomorphism, II", 2014).
+Each leaf of the search tree is a labeling, encoded as its adjacency
+bits; the certificate is the least leaf code, and the canonical labeling
+is the first leaf that reached it. Two leaves with one code differ by an
+automorphism. At each node, a vertex whose orbit under the automorphisms
+found so far that fix the node's individualized vertices meets an
+explored sibling is skipped, since it leads to an identical subtree.
+Intended for the search regime.
 """
 
 from dataclasses import dataclass
@@ -40,10 +47,10 @@ def _encode(adj: tuple[int, ...], perm: tuple[int, ...]) -> int:
 
 
 def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
-    # Split cells by neighbor counts against every cell until stable. The
-    # grouping key is label-free, so isomorphic graphs refine identically.
+    # Split cells by neighbor counts against every cell until no cell
+    # splits. The grouping key is label-free, so isomorphic graphs refine
+    # identically.
     while True:
-        changed = False
         new_cells: list[int] = []
         for cell in cells:
             if cell & (cell - 1) == 0:
@@ -53,92 +60,66 @@ def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
             for v in bits(cell):
                 sig = tuple((adj[v] & other).bit_count() for other in cells)
                 groups[sig] = groups.get(sig, 0) | (1 << v)
-            if len(groups) == 1:
-                new_cells.append(cell)
-            else:
-                changed = True
-                for sig in sorted(groups):
-                    new_cells.append(groups[sig])
-        cells = new_cells
-        if not changed:
+            new_cells += [groups[sig] for sig in sorted(groups)]
+        if len(new_cells) == len(cells):
             return cells
+        cells = new_cells
 
 
 def _canonize(graph: Graph) -> tuple[int, tuple[int, ...]]:
     n = graph.n
     adj = graph.adj
-    if n == 0:
-        return 0, ()
-
     by_degree: dict[int, int] = {}
     for v in range(n):
         d = adj[v].bit_count()
         by_degree[d] = by_degree.get(d, 0) | (1 << v)
     cells = _refine(adj, [by_degree[d] for d in sorted(by_degree)])
 
-    best: dict[str, object] = {"code": None, "perm": None}
+    # leaves maps each leaf code to the first labeling that reached it;
+    # a later labeling with the same code differs from it by an
+    # automorphism, kept in gens.
     leaves: dict[int, tuple[int, ...]] = {}
     gens: list[tuple[int, ...]] = []
 
-    def orbit_reached(v: int, done: list[int], base: tuple[int, ...]) -> bool:
+    def orbit(v: int, base: tuple[int, ...]) -> int:
+        # Mask of v's orbit under the generators found so far that fix
+        # base pointwise.
         usable = [g for g in gens if all(g[b] == b for b in base)]
-        if not usable or not done:
-            return False
-        root = list(range(n))
-
-        def find(x: int) -> int:
-            while root[x] != x:
-                root[x] = root[root[x]]
-                x = root[x]
-            return x
-
-        for g in usable:
-            for a in range(n):
-                ra, rb = find(a), find(g[a])
-                if ra != rb:
-                    root[ra] = rb
-        rv = find(v)
-        return any(find(u) == rv for u in done)
+        reached = frontier = 1 << v
+        while frontier:
+            image = 0
+            for u in bits(frontier):
+                for g in usable:
+                    image |= 1 << g[u]
+            frontier = image & ~reached
+            reached |= frontier
+        return reached
 
     def walk(cells: list[int], base: tuple[int, ...]) -> None:
-        target = -1
-        for i, cell in enumerate(cells):
-            if cell & (cell - 1):
-                target = i
-                break
-        if target < 0:
+        target = next((i for i, cell in enumerate(cells) if cell & (cell - 1)), None)
+        if target is None:
             perm = tuple(c.bit_length() - 1 for c in cells)
-            code = _encode(adj, perm)
-            prior = leaves.get(code)
-            if prior is None:
-                leaves[code] = perm
-            elif prior != perm:
+            prior = leaves.setdefault(_encode(adj, perm), perm)
+            if prior != perm:
                 g = [0] * n
                 for i in range(n):
                     g[prior[i]] = perm[i]
-                if any(g[i] != i for i in range(n)):
-                    gens.append(tuple(g))
-            if best["code"] is None or code < best["code"]:
-                best["code"] = code
-                best["perm"] = perm
+                gens.append(tuple(g))
             return
         cell = cells[target]
-        done: list[int] = []
+        done = 0  # mask of the siblings already explored
         for v in bits(cell):
-            # Vertices in one orbit of base-fixing automorphisms found so
-            # far lead to identical subtrees; explore one representative.
-            if orbit_reached(v, done, base):
+            # Vertices in one orbit of base-fixing automorphisms lead to
+            # identical subtrees; explore one representative.
+            if done and orbit(v, base) & done:
                 continue
-            done.append(v)
-            child = (
-                cells[:target]
-                + [1 << v, cell & ~(1 << v)]
-                + cells[target + 1 :]
-            )
+            done |= 1 << v
+            child = cells[:target] + [1 << v, cell & ~(1 << v)] + cells[target + 1 :]
             walk(_refine(adj, child), base + (v,))
 
     walk(cells, ())
-    return best["code"], best["perm"]  # type: ignore[return-value]
+    code = min(leaves)
+    return code, leaves[code]
 
 
 def canonical_form(graph: Graph) -> CanonicalForm:

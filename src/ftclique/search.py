@@ -43,7 +43,10 @@ __all__ = [
     "probe_conjecture",
 ]
 
-_MASK_ORDER_LIMIT = 64
+# The enumerator's walk recurses once per slot, C(n-1, 2) of them, so the
+# order is capped where the deepest walk (741 slots at 40) stays clear of
+# CPython's default recursion limit of 1,000 frames.
+_MASK_ORDER_LIMIT = 40
 # Resume tokens record a position in the enumerator's stream, so they are
 # only valid for the token format and enumerator that wrote them.
 RESUME_VERSION = 5
@@ -52,8 +55,9 @@ ENUMERATOR_ID = "lex-slots/degree-floor-d0/tight-closure"
 
 @dataclass(frozen=True)
 class Budget:
-    """Per-run caps; None means unlimited. Budgets meter one invocation,
-    so resuming with the same budget always makes fresh progress."""
+    """Per-run caps; None means unlimited. Budgets meter one invocation
+    and are checked only after work, each yielded graph and each finished
+    unit, so resuming with the same budget always makes fresh progress."""
 
     seconds: float | None = None
     graphs: int | None = None
@@ -247,10 +251,12 @@ def _iter_adjacencies(n: int, m: int, dmin: int, d0: int, after=None, tight=None
     Remaining edges are chosen among vertices 1..n-1 in lexicographic slot
     order. Prunings: total degree deficit must stay within 2 per missing
     edge; skipping a slot must leave each endpoint enough later slots to
-    reach the floor; no degree may exceed 2m - d0 - (n-2)*dmin, the cap
-    forced by everyone else needing the floor. Slots are taken before they
-    are skipped, so past `after` (a yielded tuple) the walk takes only its
-    slots on its path, leaves it by their skip branches and skips its leaf.
+    reach the floor. The deficit bound also caps every degree: while it
+    holds, d0 plus the sum over v >= 1 of max(deg v, dmin) is at most 2m,
+    so the walk stops one step after a degree passes 2m - d0 - (n-2)*dmin.
+    Slots are taken before they are skipped, so past `after` (a yielded
+    tuple) the walk takes only its slots on its path, leaves it by their
+    skip branches and skips its leaf.
 
     With a `tight` degree, only graphs in which every vertex of that degree
     has a clique closed neighborhood are yielded, in the same order, and
@@ -262,13 +268,8 @@ def _iter_adjacencies(n: int, m: int, dmin: int, d0: int, after=None, tight=None
     decided before w was final. The leaf checks the vertices that become
     final together.
     """
-    rem = m - d0
-    if rem < 0 or not dmin <= d0 <= n - 1:
+    if not dmin <= d0 <= n - 1:
         return
-    cap_rest = 2 * m - d0 - (n - 2) * dmin
-    if cap_rest < dmin:
-        return
-    cap_rest = min(cap_rest, n - 1)
     # Skipping slot (u, v) leaves u the later slots (u, w), w > v: n-1-v
     # of them; and v the later (x, v), u < x < v, and (v, w), w > v: n-2-u.
     # Each slot carries the degrees its endpoints need to allow the skip.
@@ -333,7 +334,7 @@ def _iter_adjacencies(n: int, m: int, dmin: int, d0: int, after=None, tight=None
         u, v, skip_u, skip_v = slots[i]
         du, dv = deg[u], deg[v]
         on_take = path is None or path[u] >> v & 1
-        if on_take and du < cap_rest and dv < cap_rest:
+        if on_take:
             delta = (du < dmin) + (dv < dmin)
             adj[u] |= 1 << v
             adj[v] |= 1 << u
@@ -347,7 +348,7 @@ def _iter_adjacencies(n: int, m: int, dmin: int, d0: int, after=None, tight=None
         if du >= skip_u and dv >= skip_v and not adj[u] & adj[v] & tight_done:
             yield from walk(i + 1, need, deficit, None if on_take else path, tight_done)
 
-    yield from walk(0, rem, deficit0, after, 1 if d0 == tight else 0)
+    yield from walk(0, m - d0, deficit0, after, 1 if d0 == tight else 0)
 
 
 def search_minimum(params: FTParams, max_edges: int | None = None,
@@ -415,7 +416,7 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
     # Walk the units (m, d0) from the cursor up to last_m; a solution at
     # best_m drops every larger edge count. after is the last graph of the
     # current unit already in examined, and the walk resumes past it.
-    while m <= last_m and not over_budget(examined):
+    while m <= last_m:
         for adj in _iter_adjacencies(n, m, d0, d0, None if after is None else after.adj, tight):
             g = Graph._from_adj(n, adj)
             if filtered and vertex_in_no_clique(g, c) is not None:
@@ -441,8 +442,9 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
             d0 += 1
             if d0 == n:
                 m, d0, seen = m + 1, dmin, set()
-            continue
-        break  # interrupted inside the unit
+            if not over_budget(examined):
+                continue
+        break  # interrupted after a graph or a finished unit
 
     # The walk only ends past its last unit when it covered every edge
     # count up to the minimum (or max_edges); otherwise the cursor is owed.

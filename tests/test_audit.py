@@ -183,6 +183,29 @@ def test_audit_separator_flags_uneven_split():
     assert not checks["component-size-multiple"]
 
 
+def test_audit_separator_flags_damaged_pieces():
+    # star(2,2,3) splits at its hub (0, 1) into the triangles {2,3,4} and
+    # {5,6,7}; each removal breaks one more check on the first triangle
+    g = star_construction(2, 2, 3)
+    params = FTParams(2, 2, 3)
+
+    def failures(*removed):
+        damaged = Graph(g.n, [e for e in g.edges() if e not in removed])
+        return {r.check: r.witness for r in audit_separator(damaged, params, (0, 1)).failures()}
+
+    failed = failures((2, 3))
+    assert list(failed) == ["piece-fault-tolerance"]
+    assert failed["piece-fault-tolerance"]["counterexample"] == [0, 1]
+
+    failed = failures((2, 3), (0, 3), (0, 4))
+    assert list(failed) == ["piece-fault-tolerance", "anchored-clique"]
+    assert failed["anchored-clique"]["separator_vertex"] == 0
+
+    failed = failures((2, 3), (0, 2), (0, 3), (0, 4))
+    assert list(failed) == ["piece-fault-tolerance", "anchored-clique", "full-components"]
+    assert failed["full-components"]["neighborhood"] == [1]
+
+
 def test_recognize_star_families():
     assert recognize_min_1ft(star_construction(1, 3, 4), 3, 4)
     assert recognize_min_1ft(star_construction(1, 2, 3), 2, 3)

@@ -373,6 +373,15 @@ def test_search_min_rejects_a_version_4_state(tmp_path, capsys):
     assert "afresh" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("k,p", [(1, 20), (0, 24)], ids=["order-41", "order-48"])
+def test_search_min_refuses_orders_above_the_limit(capsys, k, p):
+    code, out, err = run(capsys, "search-min", "--k", str(k), "--p", str(p), "--c", "2",
+                         "--budget-graphs", "1")
+    assert code == 2
+    assert out == ""
+    assert "order <= 40" in json.loads(err)["error"]
+
+
 def test_search_min_without_state(capsys):
     code, report, _ = run_json(capsys, "search-min", "--k", "2", "--p", "1", "--c", "3")
     assert code == 0

@@ -1,6 +1,10 @@
 """Exhaustive minimum-edge search with budgets and resume tokens."""
 
+import hashlib
+import json
+import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -8,20 +12,33 @@ from ftclique import (
     Budget,
     FTParams,
     SearchResume,
+    TreeTemplate,
     blocks,
     canonical_form,
+    canonical_labeling,
     complete_graph,
+    hub_edge_bound,
     probe_conjecture,
+    relabeled,
     search_minimum,
     star_construction,
+    tree_of_cliques,
     verify_ft,
 )
 from ftclique import search as search_module
 from ftclique.audit import tight_vertex_with_open_closure
-from ftclique.formats import emit_graph6
+from ftclique.formats import emit_graph6, parse_graph6
 from ftclique.graphs import Graph, mask_of
 from ftclique.search import _iter_adjacencies
-from helpers import all_graphs_with_edges, bad_resume_afters, search_minimum_reference
+from helpers import (
+    all_graphs_with_edges,
+    bad_resume_afters,
+    random_graph,
+    search_minimum_reference,
+)
+
+# The state file of the (2,3,3) run, stopped inside unit (28, 5).
+STATE_2_3_3 = Path(__file__).resolve().parent.parent / "results" / "2-3-3.state.json"
 
 # Every parameter set with critical order p*c + k <= 8 (41 of them).
 SMALL_PARAMS = [
@@ -118,8 +135,23 @@ def test_filter_rejects_before_canonical_forms():
 
 def test_order_guard():
     with pytest.raises(ValueError):
-        # 67 vertices exceeds the mask-width cap
+        # 67 vertices exceeds the order limit
         search_minimum(FTParams(1, 22, 3))
+
+
+def test_order_limit_is_the_deepest_walk_that_fits_the_stack():
+    # order 40 walks C(39, 2) = 741 slots, one frame each, and reaches a
+    # graph in the last slot (the first graph of (0,8,5) is 8 K5 on labels
+    # in order); order 41 is refused, by the search and by tokens alike
+    report = search_minimum(FTParams(0, 8, 5), budget=Budget(graphs=1))
+    assert report.n == 40
+    assert report.graphs_examined == 1
+    assert report.resume.after.has_edge(38, 39)
+    with pytest.raises(ValueError, match="order <= 40"):
+        search_minimum(FTParams(1, 20, 2), budget=Budget(graphs=1))
+    data = {**_token_dict(), "p": 13, "k": 2}
+    with pytest.raises(ValueError, match="order 41"):
+        SearchResume.from_dict(data)
 
 
 @pytest.mark.parametrize("seconds", [0, -1.0, float("nan")])
@@ -147,6 +179,25 @@ def test_budget_stops_and_resume_finishes():
     assert state.minimum_found == full.minimum_found
     assert set(state.exemplars) == set(full.exemplars)
     assert state.exhaustive
+
+
+def test_seconds_budget_hops_always_move_the_cursor():
+    # the budget is checked only after a graph or a finished unit, so even
+    # a budget spent before the first graph moves the cursor every hop
+    params = FTParams(1, 2, 3)
+    straight = search_minimum(params)
+    report, positions = None, []
+    while report is None or report.resume is not None:
+        assert len(positions) < 20
+        report = search_minimum(params, budget=Budget(seconds=1e-9),
+                                resume=None if report is None else report.resume)
+        token = report.resume
+        position = None if token is None else (token.unit, token.after, token.graphs_examined)
+        assert position not in positions
+        positions.append(position)
+    assert report.minimum_found == straight.minimum_found
+    assert report.exemplars == straight.exemplars
+    assert report.graphs_examined == straight.graphs_examined
 
 
 def test_resume_token_round_trips_through_json():
@@ -433,3 +484,70 @@ def test_probe_smallest_single_clique_case():
     report = probe_conjecture(2, 1, 3)
     assert report.minimum_found == 10
     assert "bound confirmed tight at these parameters" in report.notes
+
+
+def test_clique_filter_rejects_before_canonical_form():
+    # in unit (28, 5) of (2,3,3) the graph after J}rAHoyLo^? has a vertex
+    # in no triangle
+    token = SearchResume(2, 3, 3, 28, (28, 5), None, (), 0,
+                         parse_graph6("J}rAHoyLo^?"))
+    report = search_minimum(FTParams(2, 3, 3), budget=Budget(graphs=1), resume=token)
+    assert emit_graph6(report.resume.after).strip() == "J}rA@{yL_\\_"
+    assert report.stats["rejected"]["vertex-clique"] == 1
+    assert report.stats["canonical_forms"] == 0
+
+
+def test_probe_notes_a_minimum_below_the_bound(monkeypatch):
+    # with the bound one above the true minimum 19, the probe reports a
+    # refutation and re-verifies its exemplar with the oracle
+    monkeypatch.setattr(search_module, "hub_edge_bound",
+                        lambda k, p, c: hub_edge_bound(k, p, c) + 1)
+    report = probe_conjecture(2, 2, 3)
+    assert report.minimum_found == 19
+    assert "minimum beats the hub construction bound 20" in report.notes
+    assert "below-bound exemplars re-verified by the oracle-backed verifier" in report.notes
+
+
+def test_committed_state_file_round_trips():
+    data = json.loads(STATE_2_3_3.read_text())
+    assert SearchResume.from_dict(data).to_dict() == data
+
+
+def test_committed_state_file_resumes_at_its_position():
+    # certificates decide which classes the token has seen, so this pins
+    # them against the certificates stored on disk
+    token = SearchResume.from_dict(json.loads(STATE_2_3_3.read_text()))
+    report = search_minimum(FTParams(2, 3, 3), budget=Budget(graphs=300), resume=token)
+    assert report.graphs_examined == 18_973_114
+    assert emit_graph6(report.resume.after).strip() == "J}f`acNBX[_"
+    assert report.stats["new_classes"] == 0
+
+
+def test_results_exemplars_have_the_stored_certificates():
+    token = SearchResume.from_dict(json.loads(STATE_2_3_3.read_text()))
+    exemplars = ["J_CX@F[w~~_", "J@LALqxp}N_", "J@LAKA@~~~_"]  # RESULTS.md
+    assert sorted(canonical_form(parse_graph6(g)) for g in exemplars) == list(token.best_certs)
+
+
+def _canon_corpus():
+    rng = random.Random(1010)
+    for _ in range(400):
+        n = rng.randint(0, 11)
+        yield random_graph(rng, n, rng.random())
+    for g in (star_construction(1, 2, 3), star_construction(2, 3, 3),
+              star_construction(2, 2, 4), tree_of_cliques(2, 3, TreeTemplate.path(3, 2, 3)),
+              tree_of_cliques(1, 3, TreeTemplate.path(3, 1, 3, newest=False))):
+        for _ in range(4):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            yield relabeled(g, perm)
+
+
+def test_canonical_labelings_are_pinned():
+    # stored certificates and resume positions depend on the exact code
+    # and labeling, not only on their invariance
+    digest = hashlib.sha256()
+    for g in _canon_corpus():
+        digest.update(repr((g.n, canonical_form(g).code, canonical_labeling(g))).encode())
+    assert digest.hexdigest() == \
+        "ce8038ada92116c5aef22465e09a6e8de4fc422d1886eda1363d2f3d04164a46"
