@@ -24,7 +24,7 @@ __all__ = [
     "audit_low_degree_cliques",
     "audit_separator",
     "size_k_separators",
-    "vertex_in_no_clique",
+    "vertex_without_surviving_clique",
     "tight_vertex_with_open_closure",
     "RecognitionResult",
     "recognize_min_1ft",
@@ -58,14 +58,23 @@ class AuditReport:
         return {"passed": self.passed, "records": [asdict(r) for r in self.records]}
 
 
-def vertex_in_no_clique(graph: Graph, c: int) -> int | None:
-    """First vertex that lies in no c-clique, or None.
+def vertex_without_surviving_clique(graph: Graph, k: int, c: int) -> int | None:
+    """First vertex that some deletion of min(k, deg v) of its neighbors
+    leaves in no c-clique, or None.
 
-    At the critical order every vertex must: deleting any k other vertices
-    leaves exactly p*c survivors, which the packing must cover."""
+    At the critical order every vertex must lie in a c-clique after any k
+    other vertices are deleted: exactly p*c survivors remain, which the
+    packing must cover. A clique through v lies in N[v], so only deletions
+    inside N(v) matter, and deleting more of N(v) never helps v: v survives
+    every k-deletion exactly when it survives every deletion of
+    min(k, deg v) neighbors. With k = 0 this asks that every vertex lie in
+    some c-clique."""
+    full = graph.full_mask
     for v in range(graph.n):
-        if not has_clique_containing(graph, v, c):
-            return v
+        nbrs = vertex_tuple(graph.adj[v])
+        for s in combinations(nbrs, min(k, len(nbrs))):
+            if not has_clique_containing(graph, v, c, full & ~mask_of(s)):
+                return v
     return None
 
 
@@ -117,7 +126,7 @@ def audit_basic(graph: Graph, params: FTParams) -> AuditReport:
         witness,
     ))
 
-    v = vertex_in_no_clique(graph, c)
+    v = vertex_without_surviving_clique(graph, 0, c)
     witness = None if v is None else {"vertex": v}
     records.append(AuditRecord(
         "vertex-clique",
@@ -126,21 +135,14 @@ def audit_basic(graph: Graph, params: FTParams) -> AuditReport:
         witness,
     ))
 
-    # A clique through v lies in N[v], so only deletions inside N(v) matter,
-    # and deleting more of N(v) never helps v: v survives every k-deletion
-    # exactly when it survives every deletion of min(k, deg v) neighbors.
-    def isolates(v: int, deleted: tuple[int, ...]) -> bool:
-        return not has_clique_containing(graph, v, c, graph.full_mask & ~mask_of(deleted))
-
+    v = vertex_without_surviving_clique(graph, k, c)
     witness = None
-    for v in range(n):
-        nbrs = vertex_tuple(graph.adj[v])
-        if any(isolates(v, s) for s in combinations(nbrs, min(k, len(nbrs)))):
-            # the least failing set of k other vertices, as a full scan reports it
-            others = [u for u in range(n) if u != v]
-            s = next(s for s in combinations(others, k) if isolates(v, s))
-            witness = {"vertex": v, "deleted": list(s)}
-            break
+    if v is not None:
+        # the least failing set of k other vertices, as a full scan reports it
+        others = [u for u in range(n) if u != v]
+        s = next(s for s in combinations(others, k) if not has_clique_containing(
+            graph, v, c, graph.full_mask & ~mask_of(s)))
+        witness = {"vertex": v, "deleted": list(s)}
     records.append(AuditRecord(
         "surviving-clique",
         f"every vertex lies in a {c}-clique after deleting any {k} other "

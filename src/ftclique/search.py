@@ -8,20 +8,18 @@ walking d0 over [c+k-1, n-1] covers all classes with the forced degree
 floor. For c >= 3 the enumerator yields only graphs whose vertices of
 degree c+k-1 have clique closed neighborhoods (a necessary condition from
 `audit`, applied while the graph is built so dead branches are never
-walked), and each yielded graph must put every vertex in a c-clique
-before it is canonicalized; survivors are deduplicated by canonical
-certificate and verified once per class. Units run in (m, d0) order and
-are idempotent, which makes budget interruption and resumption safe: a
-token names the first unfinished unit, the last graph of it already
-examined and the classes already checked at its edge count; every later
-unit is implied.
+walked). Every yielded graph is canonicalized, and each class is verified
+once. Units run in (m, d0) order and are idempotent, which makes budget
+interruption and resumption safe: a token names the first unfinished
+unit, the last graph of it already examined and the classes already
+checked at its edge count; every later unit is implied.
 """
 
 import time
 from dataclasses import dataclass, field, fields, replace
 from math import comb
 
-from .audit import tight_vertex_with_open_closure, vertex_in_no_clique
+from .audit import tight_vertex_with_open_closure
 from .canon import CanonicalForm, canonical_form, canonical_graph
 from .connectivity import is_connected
 from .formats import emit_graph6, parse_graph6
@@ -214,12 +212,10 @@ class SearchReport:
     notes: tuple[str, ...] = field(default=())
     # Work counts of this call alone (graphs_examined is cumulative over
     # resumed runs): labeled_graphs taken from the enumerator, none of
-    # them twice across resumes; each is either rejected by one
-    # necessary condition (rejected, keyed by the audit check id) or
-    # canonicalized (canonical_forms). new_classes of those were unseen at
-    # their edge count, also by earlier runs, verify_calls of those were
-    # verified (the connectivity prune skips disconnected ones), and
-    # accepted of those hold.
+    # them twice across resumes, each canonicalized. new_classes of those
+    # were unseen at their edge count, also by earlier runs, verify_calls
+    # of those were verified (the connectivity prune skips disconnected
+    # ones), and accepted of those hold.
     stats: dict = field(default_factory=dict, compare=False)
 
     def exemplar_graphs(self) -> list[Graph]:
@@ -265,8 +261,8 @@ def _iter_adjacencies(n: int, m: int, dmin: int, d0: int, after=None, tight=None
     w of degree tight: (i) no slot with both ends in N(w) may be skipped,
     so when d0 == tight N[0] is a clique; (ii) the walk stops as soon as a
     final x in N[w] has N[w] not inside N[x], which catches the pairs
-    decided before w was final. The leaf checks the vertices that become
-    final together.
+    decided before w was final. The leaf applies the rule itself, through
+    `audit.tight_vertex_with_open_closure`.
     """
     if not dmin <= d0 <= n - 1:
         return
@@ -287,7 +283,6 @@ def _iter_adjacencies(n: int, m: int, dmin: int, d0: int, after=None, tight=None
             if v == n - 1 and u < n - 2:
                 closing[i + 1] = u
                 final[i + 1] |= 1 << u
-    full = (1 << n) - 1
 
     adj = [0] * n
     adj[0] = mask_of(range(1, d0 + 1))
@@ -322,12 +317,10 @@ def _iter_adjacencies(n: int, m: int, dmin: int, d0: int, after=None, tight=None
                 return
         if need == 0:
             if deficit == 0 and path is None:
-                if tight is not None:
-                    for x in bits(full & ~final[i]):
-                        tight_done = closes(x, full, tight_done)
-                        if tight_done < 0:
-                            return
-                yield tuple(adj)
+                leaf = tuple(adj)
+                if tight is None or tight_vertex_with_open_closure(
+                        Graph._from_adj(n, leaf), tight) is None:
+                    yield leaf
             return
         if total_slots - i < need:
             return
@@ -361,8 +354,7 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
     certificate. With a budget the run may stop early, in which case the
     report carries a resume token; resumed runs reproduce exactly the
     unbudgeted result. Every labeled graph the enumerator yields counts
-    towards graphs_examined and the graphs budget, including those the
-    clique filter rejects before canonicalization; branches the enumerator
+    towards graphs_examined and the graphs budget; branches the enumerator
     cuts count for nothing.
     """
     k, p, c = params.k, params.p, params.c
@@ -404,13 +396,10 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
             return True
         return budget.seconds is not None and time.monotonic() - start > budget.seconds
 
-    # The tight rule, the clique filter and the connectivity prune rest on
-    # c >= 3 (the audits' premise); below it they could discard accepted
-    # graphs. The enumerator applies the tight rule itself.
-    filtered = c >= 3
-    tight = dmin if filtered else None
+    # The enumerator's tight rule and the connectivity prune rest on c >= 3
+    # (the audits' premise); below it they could discard accepted graphs.
+    tight = dmin if c >= 3 else None
     connectivity_prune = k >= 1 and c >= 3
-    rejected_clique = 0
     new_classes = verify_calls = accepted = 0
 
     # Walk the units (m, d0) from the cursor up to last_m; a solution at
@@ -419,20 +408,17 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
     while m <= last_m:
         for adj in _iter_adjacencies(n, m, d0, d0, None if after is None else after.adj, tight):
             g = Graph._from_adj(n, adj)
-            if filtered and vertex_in_no_clique(g, c) is not None:
-                rejected_clique += 1
-            else:
-                cert = canonical_form(g)
-                if cert not in seen:
-                    seen.add(cert)
-                    new_classes += 1
-                    if not connectivity_prune or is_connected(g):
-                        verify_calls += 1
-                        if verify_ft(g, params).holds:
-                            accepted += 1
-                            if best_m is None:
-                                best_m = last_m = m
-                            best_certs.add(cert)
+            cert = canonical_form(g)
+            if cert not in seen:
+                seen.add(cert)
+                new_classes += 1
+                if not connectivity_prune or is_connected(g):
+                    verify_calls += 1
+                    if verify_ft(g, params).holds:
+                        accepted += 1
+                        if best_m is None:
+                            best_m = last_m = m
+                        best_certs.add(cert)
             after = g
             examined += 1
             if over_budget(examined):
@@ -482,8 +468,6 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
         notes=tuple(notes),
         stats={
             "labeled_graphs": examined - baseline,
-            "rejected": {"vertex-clique": rejected_clique},
-            "canonical_forms": examined - baseline - rejected_clique,
             "new_classes": new_classes,
             "verify_calls": verify_calls,
             "accepted": accepted,

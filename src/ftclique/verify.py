@@ -58,8 +58,10 @@ class FTVerdict:
     counterexample, when set, is the lexicographically least failing
     deletion set; witness_count is the number of k-subsets checked (its
     position in lexicographic order plus one on failure, C(n, k) on
-    success). sample_witnesses optionally maps leading k-subsets to a
-    packing that survives them, in original vertex labels.
+    success). Below order p*c + k nothing is scanned: witness_count is 0
+    and counterexample is the first k-subset (None when k > n).
+    sample_witnesses optionally maps leading k-subsets to a packing that
+    survives them, in original vertex labels.
     """
 
     holds: bool

@@ -18,13 +18,6 @@ def random_graph(rng: random.Random, n: int, prob: float) -> Graph:
     return Graph(n, edges)
 
 
-def random_graph_with_edges(rng: random.Random, n: int, m: int) -> Graph:
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    if m > len(pairs):
-        raise ValueError(f"cannot place {m} edges on {n} vertices")
-    return Graph(n, rng.sample(pairs, m))
-
-
 def isomorphic_bruteforce(a: Graph, b: Graph) -> bool:
     """Permutation search with a degree-sequence prefilter; n <= 8 expected."""
     if a.n != b.n or a.edge_count != b.edge_count:

@@ -32,7 +32,7 @@ from ftclique.construct import (
 from ftclique.formats import emit_edge_list, emit_graph6, parse_edge_list, parse_graph6
 from ftclique.graphs import Graph, complete_graph
 from ftclique.search import Budget, probe_conjecture, search_minimum
-from ftclique.verify import FTParams, verify_ft, verify_ft_oracle
+from ftclique.verify import FTParams, hub_edge_bound, verify_ft, verify_ft_oracle
 
 from helpers import all_graphs_with_edges, random_graph
 
@@ -179,8 +179,43 @@ def test_bound_tightness_probe_2_2_4():
         "tightness probe (2,2,4): nothing below 29 edges on 10 vertices, "
         "29 achieved by the hub construction alone",
         started, 60.0,
-        f"{report.graphs_examined} graphs, {report.stats['canonical_forms']} "
-        "canonical forms",
+        f"{report.graphs_examined} graphs, {report.stats['new_classes']} classes",
+    )
+
+
+def _hub_is_the_minimum(k: int, p: int, c: int, n: int, lower: int, hub: int) -> None:
+    """Nothing below the hub bound at the critical order, and the hub
+    construction itself passes both verifiers."""
+    params = FTParams(k, p, c)
+    assert hub_edge_bound(k, p, c) == hub
+    report = search_minimum(params, max_edges=hub - 1)
+    assert report.exhaustive, f"edge counts {lower}..{hub - 1} were not fully covered"
+    assert report.n == n and report.lower_bound == lower
+    assert report.minimum_found is None and report.exemplars == ()
+    assert report.graphs_examined == 0
+    g = star_construction(k, p, c)
+    assert g.n == n and g.edge_count == hub
+    assert verify_ft(g, params).holds
+    assert verify_ft_oracle(g, params).holds
+
+
+def test_bound_tightness_probe_3_2_4():
+    started = time.monotonic()
+    _hub_is_the_minimum(3, 2, 4, n=11, lower=33, hub=39)
+    _report(
+        "tightness (3,2,4): nothing below 39 edges on 11 vertices, 39 "
+        "achieved by the hub construction",
+        started, 60.0,
+    )
+
+
+def test_bound_tightness_probe_2_2_5():
+    started = time.monotonic()
+    _hub_is_the_minimum(2, 2, 5, n=12, lower=36, hub=41)
+    _report(
+        "tightness (2,2,5): nothing below 41 edges on 12 vertices, 41 "
+        "achieved by the hub construction",
+        started, 120.0,
     )
 
 

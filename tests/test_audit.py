@@ -1,6 +1,7 @@
 """Structural audits and the k = 1 minimality recognizer."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -24,6 +25,7 @@ from ftclique import (
 )
 from ftclique import audit as audit_module
 from ftclique import relabeled
+from ftclique.audit import vertex_without_surviving_clique
 from ftclique.search import _iter_adjacencies
 from helpers import all_graphs_with_edges, random_graph, surviving_clique_reference
 
@@ -90,14 +92,29 @@ def _surviving_clique_cases():
                 yield params, Graph(n, edges[:i] + edges[i + 1:])
 
 
+def _first_vertex_in_no_clique(g: Graph, c: int):
+    for v in range(g.n):
+        nbrs = [u for u in range(g.n) if g.has_edge(u, v)]
+        if not any(all(g.has_edge(a, b) for a, b in combinations(s, 2))
+                   for s in combinations(nbrs, c - 1)):
+            return v
+    return None
+
+
 def test_surviving_clique_matches_full_scan():
     outcomes = set()
     for params, g in _surviving_clique_cases():
-        expected = surviving_clique_reference(g, params.k, params.c)
+        k, c = params.k, params.c
+        expected = surviving_clique_reference(g, k, c)
         record = next(r for r in audit_basic(g, params).records
                       if r.check == "surviving-clique")
         assert (record.passed, record.witness) == (expected is None, expected), g.edges()
         outcomes.add(record.passed)
+        for deletions in (0, k):
+            expected = surviving_clique_reference(g, deletions, c)
+            assert vertex_without_surviving_clique(g, deletions, c) == (
+                None if expected is None else expected["vertex"]), (deletions, g.edges())
+        assert vertex_without_surviving_clique(g, 0, c) == _first_vertex_in_no_clique(g, c)
     assert outcomes == {True, False}
 
 

@@ -13,6 +13,7 @@ from ftclique import (
     FTParams,
     SearchResume,
     TreeTemplate,
+    audit_basic,
     blocks,
     canonical_form,
     canonical_labeling,
@@ -121,14 +122,11 @@ def test_search_matches_unfiltered_reference(k, p, c):
 
 
 def test_filter_rejects_before_canonical_forms():
-    # the enumerator cuts every graph with an open tight closure, so only
-    # the clique filter is left to reject anything
+    # the enumerator cuts every graph with an open tight closure before it
+    # is canonicalized, so (2,2,3) yields only 6 labeled graphs
     report = search_minimum(FTParams(2, 2, 3))
     stats = report.stats
     assert report.graphs_examined == stats["labeled_graphs"] == 6
-    assert sum(stats["rejected"].values()) + stats["canonical_forms"] == 6
-    assert set(stats["rejected"]) == {"vertex-clique"}
-    assert stats["canonical_forms"] == 6
     assert stats["new_classes"] == stats["verify_calls"] == stats["accepted"] == 1
     assert report.to_dict()["stats"] == stats
 
@@ -439,7 +437,7 @@ def test_resumed_hops_check_each_class_once():
     # graphs canonicalize and verify no class twice
     params = FTParams(3, 2, 3)
     straight = search_minimum(params)
-    keys = ("labeled_graphs", "canonical_forms", "new_classes", "verify_calls", "accepted")
+    keys = ("labeled_graphs", "new_classes", "verify_calls", "accepted")
     totals = dict.fromkeys(keys, 0)
     report, hops = None, 0
     while report is None or report.resume is not None:
@@ -486,15 +484,22 @@ def test_probe_smallest_single_clique_case():
     assert "bound confirmed tight at these parameters" in report.notes
 
 
-def test_clique_filter_rejects_before_canonical_form():
+def test_graph_in_no_clique_is_rejected_by_verify():
     # in unit (28, 5) of (2,3,3) the graph after J}rAHoyLo^? has a vertex
-    # in no triangle
+    # in no triangle; the search has no clique filter, so it canonicalizes
+    # that graph and verify_ft rejects it at its first subset
     token = SearchResume(2, 3, 3, 28, (28, 5), None, (), 0,
                          parse_graph6("J}rAHoyLo^?"))
     report = search_minimum(FTParams(2, 3, 3), budget=Budget(graphs=1), resume=token)
-    assert emit_graph6(report.resume.after).strip() == "J}rA@{yL_\\_"
-    assert report.stats["rejected"]["vertex-clique"] == 1
-    assert report.stats["canonical_forms"] == 0
+    g = report.resume.after
+    assert emit_graph6(g).strip() == "J}rA@{yL_\\_"
+    stats = report.stats
+    assert (stats["labeled_graphs"], stats["new_classes"], stats["verify_calls"],
+            stats["accepted"]) == (1, 1, 1, 0)
+    assert verify_ft(g, FTParams(2, 3, 3)).witness_count == 1
+    record = next(r for r in audit_basic(g, FTParams(2, 3, 3)).records
+                  if r.check == "vertex-clique")
+    assert (record.passed, record.witness) == (False, {"vertex": 7})
 
 
 def test_probe_notes_a_minimum_below_the_bound(monkeypatch):
