@@ -5,9 +5,17 @@ search-min, props. Graphs are read from a file argument or stdin in either
 supported format; reports are JSON on stdout. Exit codes: 0 when the
 checked property holds (or the command simply produced output), 1 when it
 fails, 2 for usage, premise, or budget errors.
+
+`main` builds the argument parser on its first call in a process and
+reuses it, so callers that run many commands in one process (the
+benchmark, scripts) pay for it once; each call still parses into a fresh
+namespace. The `verify --jobs` default, the usable cores, is read when
+verify runs. A `search-min --state` file of a completed search replays
+its report only after `check_completed_report` accepts it.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -33,7 +41,7 @@ from .construct import (
 from .formats import emit_graph, parse_graph
 from .graphs import Graph
 from .packing import find_disjoint_cliques
-from .search import Budget, SearchResume, search_minimum
+from .search import Budget, SearchResume, check_completed_report, search_minimum
 from .verify import FTParams, verify_ft
 
 __all__ = ["main"]
@@ -73,7 +81,13 @@ def _add_params(sub: argparse.ArgumentParser, *, with_k: bool = True) -> None:
 def _cmd_verify(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
     params = FTParams(args.k, args.p, args.c)
-    verdict = verify_ft(graph, params, max_witnesses=args.witnesses, jobs=args.jobs)
+    jobs = args.jobs
+    if jobs is None:
+        # sched_getaffinity counts the CPUs this process may use; cpu_count
+        # counts the machine's, more than a CPU-limited container gets.
+        jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+    verdict = verify_ft(graph, params, max_witnesses=args.witnesses, jobs=jobs)
     witnesses = None
     if verdict.sample_witnesses is not None:
         witnesses = {
@@ -204,11 +218,8 @@ def _cmd_search_min(args: argparse.Namespace) -> int:
                 raise ValueError("state file is nested too deeply to be a search state") from None
         if isinstance(stored, dict) and stored.get("status") == "complete":
             report = stored.get("report")
-            if not isinstance(report, dict):
-                raise ValueError("completed state file lacks its report")
-            if [report.get(key) for key in ("k", "p", "c")] != [args.k, args.p, args.c]:
-                raise ValueError("completed state file belongs to different parameters")
-            if args.max_edges is not None and report.get("max_edges") != args.max_edges:
+            check_completed_report(report, params)
+            if args.max_edges is not None and report["max_edges"] != args.max_edges:
                 raise ValueError("completed state file was built for a different max_edges")
             _emit({"command": "search-min", **report})
             return 0
@@ -249,6 +260,10 @@ def _cmd_props(args: argparse.Namespace) -> int:
     return 0
 
 
+# Cached: parse_args returns a fresh Namespace on every call, so a reused
+# parser carries nothing between calls. Handlers are bound here, but the
+# library functions they call are looked up as module globals at call time.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ftclique",
@@ -261,11 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_params(sub)
     sub.add_argument("--witnesses", type=int, default=0,
                      help="retain packings for the first N deletion sets")
-    # sched_getaffinity counts the CPUs this process may use; cpu_count
-    # counts the machine's, more than a CPU-limited container gets.
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    sub.add_argument("--jobs", type=int, default=cores,
+    sub.add_argument("--jobs", type=int, default=None,
                      help="parallel workers (default: the usable cores)")
     _add_graph_input(sub)
     sub.set_defaults(func=_cmd_verify)

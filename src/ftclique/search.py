@@ -39,6 +39,7 @@ __all__ = [
     "SearchReport",
     "search_minimum",
     "probe_conjecture",
+    "check_completed_report",
 ]
 
 # The enumerator's walk recurses once per slot, C(n-1, 2) of them, so the
@@ -239,6 +240,66 @@ class SearchReport:
             "notes": list(self.notes),
             "stats": self.stats,
         }
+
+
+# The keys SearchReport.to_dict writes.
+_REPORT_KEYS = frozenset({
+    "k", "p", "c", "n", "lower_bound", "target_bound", "max_edges",
+    "minimum_found", "exemplars", "graphs_examined", "exhaustive",
+    "elapsed_seconds", "resume", "notes", "stats",
+})
+
+
+def check_completed_report(data: dict, params: FTParams) -> None:
+    """Raise ValueError unless data can be a finished search's to_dict output.
+
+    A completed state file replays its stored report without searching, so
+    the report may claim an exhaustive result only if it has exactly the
+    keys to_dict writes, the order and bounds params give, no resume token,
+    and a minimum in [lower_bound, max_edges] or none; and if its exemplars,
+    present exactly when a minimum is, are the sorted canonical graph6
+    strings of distinct accepted graphs with that many edges. That the
+    exemplar list is complete is not checked: only the search can tell.
+    """
+    if not isinstance(data, dict) or set(data) != _REPORT_KEYS:
+        raise ValueError("completed state file report lacks or adds keys")
+    k, p, c = params.k, params.p, params.c
+    n = params.critical_order
+    if n > _MASK_ORDER_LIMIT:
+        raise ValueError(f"search supports order <= {_MASK_ORDER_LIMIT}, got {n}")
+    _, lower = _floor_and_lower(params)
+    shape = [data[key] for key in ("k", "p", "c", "n", "lower_bound", "target_bound")]
+    if not (all(type(x) is int for x in shape)
+            and shape == [k, p, c, n, lower, hub_edge_bound(k, p, c)]):
+        raise ValueError(
+            "completed state file report disagrees with the parameters on "
+            "k, p, c, n, lower_bound or target_bound"
+        )
+    max_edges, m, examined = data["max_edges"], data["minimum_found"], data["graphs_examined"]
+    if not (type(max_edges) is int and type(examined) is int and examined >= 0):
+        raise ValueError("completed state file report needs integer max_edges "
+                         "and graphs_examined >= 0")
+    if data["exhaustive"] is not True or data["resume"] is not None:
+        raise ValueError("completed state file report is not exhaustive or "
+                         "still holds a resume token")
+    if m is not None and not (type(m) is int and lower <= m <= max_edges):
+        raise ValueError(f"completed state file minimum {m!r} is outside "
+                         f"[{lower}, {max_edges}]")
+    exemplars = data["exemplars"]
+    if not (isinstance(exemplars, list) and all(isinstance(s, str) for s in exemplars)
+            and bool(exemplars) == (m is not None)):
+        raise ValueError("completed state file exemplars must be graph6 "
+                         "strings, present exactly when a minimum is")
+    graphs = [parse_graph6(s) for s in exemplars]
+    if any(g.n != n or g.edge_count != m for g in graphs):
+        raise ValueError(f"completed state file exemplars are not graphs of "
+                         f"{n} vertices and {m} edges")
+    certs = sorted({canonical_form(g) for g in graphs})
+    if [emit_graph6(canonical_graph(cf)).strip() for cf in certs] != exemplars:
+        raise ValueError("completed state file exemplars are not distinct "
+                         "canonical graph6 strings in order")
+    if not all(verify_ft(g, params).holds for g in graphs):
+        raise ValueError("completed state file exemplar is not accepted")
 
 
 def _iter_adjacencies(n: int, m: int, dmin: int, d0: int, after=None, tight=None):

@@ -2,23 +2,34 @@
 
 import json
 import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import ftclique
 from ftclique import (
+    FTParams,
+    Graph,
     TreeTemplate,
+    canonical_form,
+    canonical_graph,
     complete_graph,
     cycle_graph,
     emit_edge_list,
     emit_graph6,
+    parse_graph6,
     size_k_separators,
     star_construction,
     tree_of_cliques,
+    verify_ft,
 )
 from ftclique import audit as audit_module
+from ftclique import cli
 from ftclique import verify as verify_module
-from ftclique.cli import _build_parser, main
+from ftclique.cli import main
 from helpers import bad_resume_afters
 
 
@@ -277,12 +288,46 @@ def test_search_min_huge_max_edges(capsys):
     assert report["resume"] is None
 
 
+def _completed_223_state(tmp_path, capsys):
+    state = tmp_path / "done.json"
+    code, _, _ = run(capsys, "search-min", "--k", "2", "--p", "2", "--c", "3",
+                     "--state", str(state))
+    assert code == 0
+    return json.loads(state.read_text())
+
+
+def _swap_in_a_rejected_exemplar(stored):
+    # move one edge of the accepted (2,2,3) graph: still 19 edges on 8
+    # vertices and canonical, so only the verify check can reject it
+    graph = parse_graph6(stored["report"]["exemplars"][0])
+    u, v = graph.edges()[0]
+    w = next(w for w in range(graph.n) if w != u and not graph.has_edge(u, w))
+    moved = [e for e in graph.edges() if e != (u, v)] + [(min(u, w), max(u, w))]
+    code = emit_graph6(canonical_graph(canonical_form(Graph(graph.n, moved)))).strip()
+    assert parse_graph6(code).edge_count == 19
+    assert not verify_ft(parse_graph6(code), FTParams(2, 2, 3)).holds
+    stored["report"]["exemplars"] = [code]
+    return stored
+
+
+def _not_exhaustive(stored):
+    stored["report"]["exhaustive"] = False
+    return stored
+
+
 @pytest.mark.parametrize("stored", [
     {"k": 2, "p": 2},
     [1, 2],
     {"status": "complete"},
-], ids=["missing-keys", "not-an-object", "complete-without-report"])
+    {"status": "complete", "report": {"k": 2, "p": 2, "c": 3, "minimum_found": 3,
+                                      "exhaustive": True, "exemplars": ["Gzzzzz"]}},
+    _swap_in_a_rejected_exemplar,
+    _not_exhaustive,
+], ids=["missing-keys", "not-an-object", "complete-without-report",
+        "forged-report", "rejected-exemplar", "not-exhaustive"])
 def test_search_min_rejects_malformed_state(tmp_path, capsys, stored):
+    if callable(stored):  # a tampered copy of a genuine completed state
+        stored = stored(_completed_223_state(tmp_path, capsys))
     state = tmp_path / "state.json"
     state.write_text(json.dumps(stored))
     code, out, err = run(capsys, "search-min", "--k", "2", "--p", "2", "--c", "3",
@@ -455,12 +500,27 @@ def test_verify_rejects_bad_jobs_and_witnesses(tmp_path, capsys, flag, value, na
     assert name in json.loads(err)["error"]
 
 
-def test_verify_jobs_default_to_the_usable_cores():
-    args = _build_parser().parse_args(["verify", "--k", "1", "--p", "1", "--c", "3"])
-    if hasattr(os, "sched_getaffinity"):
-        assert args.jobs == len(os.sched_getaffinity(0))
-    else:
-        assert args.jobs == (os.cpu_count() or 1)
+def test_verify_jobs_default_to_the_usable_cores(tmp_path, capsys, monkeypatch):
+    # the default is read each time verify runs, not once with the parser
+    path = tmp_path / "k4.txt"
+    path.write_text(emit_edge_list(complete_graph(4)))
+    real = cli.verify_ft
+    seen = []
+
+    def capture(graph, params, *, max_witnesses, jobs):
+        seen.append(jobs)
+        return real(graph, params, max_witnesses=max_witnesses)
+
+    monkeypatch.setattr(cli, "verify_ft", capture)
+    argv = ("verify", "--k", "1", "--p", "1", "--c", "3", str(path))
+    for cpus in ({0}, {0, 1, 2}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                            raising=False)
+        assert run(capsys, *argv)[0] == 0
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert run(capsys, *argv)[0] == 0
+    assert seen == [1, 3, 5]
 
 
 def test_worker_value_error_is_a_usage_error(tmp_path, capsys, monkeypatch):
@@ -476,3 +536,66 @@ def test_worker_value_error_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert json.loads(err) == {"error": "packer failed"}
+
+
+def _in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _subprocess(argv):
+    src = Path(ftclique.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "ftclique", *argv], env=env,
+                          capture_output=True, text=True, check=False)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _without_elapsed(result):
+    # search-min reports its own running time
+    code, out, err = result
+    report = json.loads(out)
+    del report["elapsed_seconds"]
+    return code, report, err
+
+
+def test_reused_parser_matches_fresh_processes(tmp_path, capsys, monkeypatch):
+    # usage lines wrap at the terminal width; fix it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    star = tmp_path / "star.txt"
+    star.write_text(emit_edge_list(star_construction(1, 2, 3)))
+    params = ("--k", "1", "--p", "2", "--c", "3")
+    sequence = [
+        ["verify", *params, "--witnesses", "16", str(star)],
+        ["verify", *params, str(star)],
+        ["pack", "--p", "2", "--c", "3", str(star)],
+        ["audit", *params, str(star)],
+        ["props", str(star)],
+        ["construct", "star", *params],
+        ["verify", "--k", "x", "-"],
+    ]
+    cli._build_parser.cache_clear()
+    for argv in sequence:
+        assert _in_process(capsys, argv) == _subprocess(argv), argv
+
+    # (2,2,3) yields 6 graphs, so hops of 2 stop and resume; once the search
+    # completes, one more call replays the completed state
+    hop = ["search-min", "--k", "2", "--p", "2", "--c", "3", "--budget-graphs", "2",
+           "--state"]
+
+    def search_hop():
+        here = _without_elapsed(_in_process(capsys, [*hop, str(tmp_path / "here.json")]))
+        assert here == _without_elapsed(_subprocess([*hop, str(tmp_path / "there.json")]))
+        return here[0]
+
+    codes = [search_hop()]
+    while codes[-1] == 2 and len(codes) < 10:
+        codes.append(search_hop())
+    codes.append(search_hop())
+    assert len(codes) > 2 and codes[-2:] == [0, 0]
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(sequence) + len(codes) - 1)
