@@ -10,8 +10,9 @@ fails, 2 for usage, premise, or budget errors.
 reuses it, so callers that run many commands in one process (the
 benchmark, scripts) pay for it once; each call still parses into a fresh
 namespace. The `verify --jobs` default, the usable cores, is read when
-verify runs. A `search-min --state` file of a completed search replays
-its report only after `check_completed_report` accepts it.
+verify runs. A `search-min --state` file holds a `SearchResume` token,
+finished or not, and is replaced whole on each write: the token goes to a
+temporary file beside it first, so a failed write leaves the old state.
 """
 
 import argparse
@@ -41,7 +42,7 @@ from .construct import (
 from .formats import emit_graph, parse_graph
 from .graphs import Graph
 from .packing import find_disjoint_cliques
-from .search import Budget, SearchResume, check_completed_report, search_minimum
+from .search import Budget, SearchResume, search_minimum
 from .verify import FTParams, verify_ft
 
 __all__ = ["main"]
@@ -216,23 +217,19 @@ def _cmd_search_min(args: argparse.Namespace) -> int:
                 stored = json.load(fh)
             except RecursionError:
                 raise ValueError("state file is nested too deeply to be a search state") from None
-        if isinstance(stored, dict) and stored.get("status") == "complete":
-            report = stored.get("report")
-            check_completed_report(report, params)
-            if args.max_edges is not None and report["max_edges"] != args.max_edges:
-                raise ValueError("completed state file was built for a different max_edges")
-            _emit({"command": "search-min", **report})
-            return 0
         resume = SearchResume.from_dict(stored)
     report = search_minimum(params, args.max_edges, budget, resume=resume)
-    _emit({"command": "search-min", **report.to_dict()})
     if args.state:
-        with open(args.state, "w", encoding="utf-8") as fh:
-            if report.resume is not None:
-                json.dump(report.resume.to_dict(), fh, indent=2)
-            else:
-                json.dump({"status": "complete", "report": report.to_dict()}, fh, indent=2)
-            fh.write("\n")
+        temporary = args.state + ".tmp"
+        try:
+            with open(temporary, "w", encoding="utf-8") as fh:
+                json.dump(report.state().to_dict(), fh, indent=2)
+                fh.write("\n")
+            os.replace(temporary, args.state)
+        finally:  # after a failed write; a replaced one leaves nothing
+            if os.path.exists(temporary):
+                os.remove(temporary)
+    _emit({"command": "search-min", **report.to_dict()})
     return 0 if report.resume is None else 2
 
 
@@ -342,11 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        json.dump({"error": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         json.dump({"error": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2

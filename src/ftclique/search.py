@@ -12,7 +12,9 @@ walked). Every yielded graph is canonicalized, and each class is verified
 once. Units run in (m, d0) order and are idempotent, which makes budget
 interruption and resumption safe: a token names the first unfinished
 unit, the last graph of it already examined and the classes already
-checked at its edge count; every later unit is implied.
+checked at its edge count; every later unit is implied. A finished
+search is a token that owes no unit, and resuming from it replays its
+result.
 """
 
 import time
@@ -39,7 +41,6 @@ __all__ = [
     "SearchReport",
     "search_minimum",
     "probe_conjecture",
-    "check_completed_report",
 ]
 
 # The enumerator's walk recurses once per slot, C(n-1, 2) of them, so the
@@ -80,22 +81,25 @@ def _floor_and_lower(params: FTParams) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class SearchResume:
-    """Everything needed to continue an interrupted search.
+    """Everything needed to continue a search, or to replay a finished one.
 
     unit is the first unfinished (edge count, degree-of-vertex-0) work
     unit and after its last graph already counted (None if none is). The
     units after it, up to max_edges (or only those of best_m edges once a
     solution is found), are owed. seen_certs are the classes already
     checked at the unit's edge count, so a resumed run checks none twice.
-    graphs_examined is cumulative over all runs. Construction rejects, with
-    ValueError, any token that no interrupted search can have written.
+    A finished search owes no unit (unit None) and keeps only its result:
+    no after and no seen_certs. graphs_examined is cumulative over all
+    runs. Construction rejects, with ValueError, any token that no search
+    can have written; search_minimum checks that best_certs are canonical
+    and accepted when it starts from the token.
     """
 
     k: int
     p: int
     c: int
     max_edges: int
-    unit: tuple[int, int]
+    unit: tuple[int, int] | None
     best_m: int | None
     best_certs: tuple[CanonicalForm, ...]
     graphs_examined: int
@@ -105,7 +109,7 @@ class SearchResume:
     def __post_init__(self) -> None:
         certs = (*self.best_certs, *self.seen_certs)
         ints = [self.k, self.p, self.c, self.max_edges, self.graphs_examined,
-                *self.unit, *(cf.n for cf in certs), *(cf.code for cf in certs)]
+                *(self.unit or ()), *(cf.n for cf in certs), *(cf.code for cf in certs)]
         if self.best_m is not None:
             ints.append(self.best_m)
         if any(type(x) is not int for x in ints):
@@ -117,7 +121,17 @@ class SearchResume:
         if self.graphs_examined < 0:
             raise ValueError(f"resume token graphs_examined {self.graphs_examined} < 0")
         dmin, lower = _floor_and_lower(params)
-        m, d0 = self.unit
+        if self.unit is None:
+            if self.after is not None or self.seen_certs:
+                raise ValueError("finished resume token keeps an after or seen_certs")
+            m, d0 = self.best_m, dmin
+        else:
+            m, d0 = self.unit
+            if not (lower <= m <= self.max_edges and dmin <= d0 < n):
+                raise ValueError(
+                    f"resume token unit {self.unit} is outside m in "
+                    f"[{lower}, {self.max_edges}], d0 in [{dmin}, {n - 1}]"
+                )
         pairs = comb(n, 2)
         if not all(cf.n == n and cf.code >= 0 and cf.code.bit_length() <= pairs
                    and cf.code.bit_count() == m for cf in certs):
@@ -126,23 +140,18 @@ class SearchResume:
                 f"and {m} edges"
             )
         # A solution at best_m means every smaller edge count is done and
-        # every larger one dropped, so the search stopped inside best_m,
-        # and every accepted class was one already seen there.
+        # every larger one dropped, so an unfinished search stopped inside
+        # best_m, and every accepted class was one already seen there.
         if self.best_m is not None:
             if not (lower <= self.best_m <= self.max_edges and m == self.best_m
-                    and self.best_certs
-                    and set(self.best_certs) <= set(self.seen_certs)):
+                    and self.best_certs and (self.unit is None
+                                             or set(self.best_certs) <= set(self.seen_certs))):
                 raise ValueError(
                     f"resume token best_m {self.best_m} disagrees with its "
                     "certificates or unit"
                 )
         elif self.best_certs:
             raise ValueError("resume token has certificates but no best_m")
-        if not (lower <= m <= self.max_edges and dmin <= d0 < n):
-            raise ValueError(
-                f"resume token unit {self.unit} is outside m in "
-                f"[{lower}, {self.max_edges}], d0 in [{dmin}, {n - 1}]"
-            )
         g = self.after  # must be a graph the enumerator yields in unit
         if g is not None and not (
                 g.n == n and g.edge_count == m and min(g.degrees()) >= d0
@@ -151,20 +160,22 @@ class SearchResume:
             raise ValueError(f"resume token after is not a graph of unit {self.unit}")
 
     def to_dict(self) -> dict:
-        return {
+        """JSON fields; a finished token also gets "status": "complete"."""
+        data = {
             "version": RESUME_VERSION,
             "enumerator": ENUMERATOR_ID,
             "k": self.k,
             "p": self.p,
             "c": self.c,
             "max_edges": self.max_edges,
-            "unit": list(self.unit),
+            "unit": None if self.unit is None else list(self.unit),
             "best_m": self.best_m,
             "best_certs": _certs_to_json(self.best_certs),
             "graphs_examined": self.graphs_examined,
             "after": None if self.after is None else emit_graph6(self.after).strip(),
             "seen_certs": _certs_to_json(self.seen_certs),
         }
+        return data if self.unit is not None else {"status": "complete", **data}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SearchResume":
@@ -183,17 +194,20 @@ class SearchResume:
             raise ValueError(f"resume token lacks {', '.join(missing)}")
         values = {name: data[name] for name in names}
         try:
-            m, d0 = data["unit"]
-            values["unit"] = (m, d0)
+            if data["unit"] is not None:
+                m, d0 = data["unit"]
+                values["unit"] = (m, d0)
             for name in ("best_certs", "seen_certs"):
                 values[name] = tuple(CanonicalForm(n, int(code, 16)) for n, code in data[name])
             after = data["after"]
             values["after"] = None if after is None else parse_graph6(after)
         except (TypeError, ValueError):
             raise ValueError(
-                "resume token unit must be an [m, d0] pair, best_certs and "
+                "resume token unit must be an [m, d0] pair or null, best_certs and "
                 "seen_certs [n, hex code] pairs and after a graph6 string or null"
             ) from None
+        if data.get("status") != ("complete" if values["unit"] is None else None):
+            raise ValueError('resume token status must be "complete" exactly when its unit is null')
         return cls(**values)
 
 
@@ -219,6 +233,15 @@ class SearchReport:
     # ones), and accepted of those hold.
     stats: dict = field(default_factory=dict, compare=False)
 
+    def state(self) -> SearchResume:
+        """The token to store: the resume token, or once the search is
+        finished, one that owes no unit and replays this result."""
+        if self.resume is not None:
+            return self.resume
+        p = self.params
+        return SearchResume(p.k, p.p, p.c, self.max_edges, None, self.minimum_found,
+                            self.exemplars, self.graphs_examined)
+
     def exemplar_graphs(self) -> list[Graph]:
         return [canonical_graph(cf) for cf in self.exemplars]
 
@@ -240,66 +263,6 @@ class SearchReport:
             "notes": list(self.notes),
             "stats": self.stats,
         }
-
-
-# The keys SearchReport.to_dict writes.
-_REPORT_KEYS = frozenset({
-    "k", "p", "c", "n", "lower_bound", "target_bound", "max_edges",
-    "minimum_found", "exemplars", "graphs_examined", "exhaustive",
-    "elapsed_seconds", "resume", "notes", "stats",
-})
-
-
-def check_completed_report(data: dict, params: FTParams) -> None:
-    """Raise ValueError unless data can be a finished search's to_dict output.
-
-    A completed state file replays its stored report without searching, so
-    the report may claim an exhaustive result only if it has exactly the
-    keys to_dict writes, the order and bounds params give, no resume token,
-    and a minimum in [lower_bound, max_edges] or none; and if its exemplars,
-    present exactly when a minimum is, are the sorted canonical graph6
-    strings of distinct accepted graphs with that many edges. That the
-    exemplar list is complete is not checked: only the search can tell.
-    """
-    if not isinstance(data, dict) or set(data) != _REPORT_KEYS:
-        raise ValueError("completed state file report lacks or adds keys")
-    k, p, c = params.k, params.p, params.c
-    n = params.critical_order
-    if n > _MASK_ORDER_LIMIT:
-        raise ValueError(f"search supports order <= {_MASK_ORDER_LIMIT}, got {n}")
-    _, lower = _floor_and_lower(params)
-    shape = [data[key] for key in ("k", "p", "c", "n", "lower_bound", "target_bound")]
-    if not (all(type(x) is int for x in shape)
-            and shape == [k, p, c, n, lower, hub_edge_bound(k, p, c)]):
-        raise ValueError(
-            "completed state file report disagrees with the parameters on "
-            "k, p, c, n, lower_bound or target_bound"
-        )
-    max_edges, m, examined = data["max_edges"], data["minimum_found"], data["graphs_examined"]
-    if not (type(max_edges) is int and type(examined) is int and examined >= 0):
-        raise ValueError("completed state file report needs integer max_edges "
-                         "and graphs_examined >= 0")
-    if data["exhaustive"] is not True or data["resume"] is not None:
-        raise ValueError("completed state file report is not exhaustive or "
-                         "still holds a resume token")
-    if m is not None and not (type(m) is int and lower <= m <= max_edges):
-        raise ValueError(f"completed state file minimum {m!r} is outside "
-                         f"[{lower}, {max_edges}]")
-    exemplars = data["exemplars"]
-    if not (isinstance(exemplars, list) and all(isinstance(s, str) for s in exemplars)
-            and bool(exemplars) == (m is not None)):
-        raise ValueError("completed state file exemplars must be graph6 "
-                         "strings, present exactly when a minimum is")
-    graphs = [parse_graph6(s) for s in exemplars]
-    if any(g.n != n or g.edge_count != m for g in graphs):
-        raise ValueError(f"completed state file exemplars are not graphs of "
-                         f"{n} vertices and {m} edges")
-    certs = sorted({canonical_form(g) for g in graphs})
-    if [emit_graph6(canonical_graph(cf)).strip() for cf in certs] != exemplars:
-        raise ValueError("completed state file exemplars are not distinct "
-                         "canonical graph6 strings in order")
-    if not all(verify_ft(g, params).holds for g in graphs):
-        raise ValueError("completed state file exemplar is not accepted")
 
 
 def _iter_adjacencies(n: int, m: int, dmin: int, d0: int, after=None, tight=None):
@@ -430,8 +393,15 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
             raise ValueError("resume token belongs to different parameters")
         if max_edges is not None and max_edges != resume.max_edges:
             raise ValueError("resume token was built for a different max_edges")
+        # Checked where the result is taken on trust, not on construction,
+        # so a run that writes a token pays nothing for it.
+        for cf in resume.best_certs:
+            g = canonical_graph(cf)
+            if canonical_form(g) != cf or not verify_ft(g, params).holds:
+                raise ValueError(f"resume token best_certs hold {emit_graph6(g).strip()}, "
+                                 "which is not canonical or not accepted")
         max_edges = resume.max_edges
-        m, d0 = resume.unit
+        m, d0 = resume.unit or (max_edges + 1, dmin)  # finished: past the last unit
         best_m = resume.best_m
         best_certs: set[CanonicalForm] = set(resume.best_certs)
         seen: set[CanonicalForm] = set(resume.seen_certs)

@@ -32,6 +32,7 @@ def test_module_exports_resolve(name):
     ("ftclique.canon", "SizeLimitError"),
     ("ftclique.formats", "GraphDocument"),
     ("ftclique.search", "EXHAUSTIVE_ORDER_LIMIT"),
+    ("ftclique.search", "check_completed_report"),
 ])
 def test_removed_names_are_gone(owner, name):
     assert not hasattr(importlib.import_module(owner), name)

@@ -11,6 +11,7 @@ import pytest
 
 import ftclique
 from ftclique import (
+    CanonicalForm,
     FTParams,
     Graph,
     TreeTemplate,
@@ -242,21 +243,27 @@ def test_search_min_with_state(tmp_path, capsys):
         assert hops < 100
     assert code == 0
     assert report["minimum_found"] == 12
-    assert json.loads(state.read_text())["status"] == "complete"
+    finished = json.loads(state.read_text())
+    assert finished["status"] == "complete" and finished["unit"] is None
 
     # a completed state file replays without searching again
-    code, report, _ = run_json(capsys, "search-min", "--k", "1", "--p", "2",
+    code, replay, _ = run_json(capsys, "search-min", "--k", "1", "--p", "2",
                                "--c", "3", "--state", str(state))
     assert code == 0
-    assert report["minimum_found"] == 12
+    assert replay["minimum_found"] == 12 and replay["exhaustive"] is True
+    assert replay["exemplars"] == report["exemplars"]
+    assert replay["graphs_examined"] == report["graphs_examined"]
+    assert replay["stats"]["labeled_graphs"] == 0
+    assert json.loads(state.read_text()) == finished
 
 
-@pytest.mark.parametrize("argv", [
-    ("--k", "2", "--p", "2", "--c", "3"),
-    ("--k", "1", "--p", "2", "--c", "3", "--max-edges", "11"),
+@pytest.mark.parametrize("argv,error", [
+    (("--k", "2", "--p", "2", "--c", "3"), "resume token belongs to different parameters"),
+    (("--k", "1", "--p", "2", "--c", "3", "--max-edges", "11"),
+     "resume token was built for a different max_edges"),
 ], ids=["other-parameters", "other-max-edges"])
-def test_completed_state_replays_only_its_own_search(tmp_path, capsys, argv):
-    # the (1,2,3) report (minimum 12) must not stand in for (2,2,3) (minimum 19)
+def test_completed_state_replays_only_its_own_search(tmp_path, capsys, argv, error):
+    # the (1,2,3) result (minimum 12) must not stand in for (2,2,3) (minimum 19)
     state = tmp_path / "state.json"
     code, _, _ = run(capsys, "search-min", "--k", "1", "--p", "2", "--c", "3",
                      "--state", str(state))
@@ -265,7 +272,31 @@ def test_completed_state_replays_only_its_own_search(tmp_path, capsys, argv):
     code, out, err = run(capsys, "search-min", *argv, "--state", str(state))
     assert code == 2
     assert out == ""
-    assert "completed state file" in json.loads(err)["error"]
+    assert json.loads(err)["error"] == error
+
+
+def test_a_failed_state_write_keeps_the_old_state(tmp_path, capsys, monkeypatch):
+    # the state is written to a temporary file and moved over the old one,
+    # so a write that fails leaves the old state's bytes and no stray file
+    state = tmp_path / "state.json"
+    hop = ("search-min", "--k", "2", "--p", "2", "--c", "3", "--budget-graphs", "2",
+           "--state", str(state))
+    assert run(capsys, *hop)[0] == 2
+    before = state.read_bytes()
+    dump = json.dump
+
+    def failing_dump(obj, fh, **kwargs):
+        if fh is not sys.stdout and fh is not sys.stderr:
+            raise OSError("No space left on device")
+        return dump(obj, fh, **kwargs)
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+    code, out, err = run(capsys, *hop)
+    assert code == 2
+    assert out == ""
+    assert "No space left" in json.loads(err)["error"]
+    assert state.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json"]
 
 
 def test_deeply_nested_state_is_a_usage_error(tmp_path, capsys):
@@ -296,23 +327,44 @@ def _completed_223_state(tmp_path, capsys):
     return json.loads(state.read_text())
 
 
+def _best_graph(stored):
+    (n, code), = stored["best_certs"]
+    return canonical_graph(CanonicalForm(n, int(code, 16)))
+
+
 def _swap_in_a_rejected_exemplar(stored):
     # move one edge of the accepted (2,2,3) graph: still 19 edges on 8
     # vertices and canonical, so only the verify check can reject it
-    graph = parse_graph6(stored["report"]["exemplars"][0])
+    graph = _best_graph(stored)
     u, v = graph.edges()[0]
     w = next(w for w in range(graph.n) if w != u and not graph.has_edge(u, w))
     moved = [e for e in graph.edges() if e != (u, v)] + [(min(u, w), max(u, w))]
     code = emit_graph6(canonical_graph(canonical_form(Graph(graph.n, moved)))).strip()
     assert parse_graph6(code).edge_count == 19
     assert not verify_ft(parse_graph6(code), FTParams(2, 2, 3)).holds
-    stored["report"]["exemplars"] = [code]
+    cert = canonical_form(parse_graph6(code))
+    stored["best_certs"] = [[cert.n, format(cert.code, "x")]]
     return stored
 
 
 def _not_exhaustive(stored):
-    stored["report"]["exhaustive"] = False
+    # marked complete, yet it still owes a unit
+    stored["unit"] = [19, 4]
     return stored
+
+
+def _complete_with_after(stored):
+    # marked complete, yet it still names a graph of an unfinished unit
+    stored["after"] = emit_graph6(_best_graph(stored)).strip()
+    return stored
+
+
+# A version-5 token whose best class verify_ft rejects (GJm}nS): it must
+# not resume to an exhaustive minimum of 19 with that graph as exemplar.
+FORGED_TOKEN = {"version": 5, "enumerator": "lex-slots/degree-floor-d0/tight-closure",
+                "k": 2, "p": 2, "c": 3, "max_edges": 19, "unit": [19, 7], "best_m": 19,
+                "best_certs": [[8, "b5ef9f8"]], "graphs_examined": 0, "after": None,
+                "seen_certs": [[8, "b5ef9f8"]]}
 
 
 @pytest.mark.parametrize("stored", [
@@ -323,10 +375,13 @@ def _not_exhaustive(stored):
                                       "exhaustive": True, "exemplars": ["Gzzzzz"]}},
     _swap_in_a_rejected_exemplar,
     _not_exhaustive,
+    _complete_with_after,
+    FORGED_TOKEN,
 ], ids=["missing-keys", "not-an-object", "complete-without-report",
-        "forged-report", "rejected-exemplar", "not-exhaustive"])
+        "forged-report", "rejected-exemplar", "not-exhaustive", "complete-with-after",
+        "forged-token"])
 def test_search_min_rejects_malformed_state(tmp_path, capsys, stored):
-    if callable(stored):  # a tampered copy of a genuine completed state
+    if callable(stored):  # a tampered copy of a genuine finished token
         stored = stored(_completed_223_state(tmp_path, capsys))
     state = tmp_path / "state.json"
     state.write_text(json.dumps(stored))

@@ -10,12 +10,14 @@ import pytest
 
 from ftclique import (
     Budget,
+    CanonicalForm,
     FTParams,
     SearchResume,
     TreeTemplate,
     audit_basic,
     blocks,
     canonical_form,
+    canonical_graph,
     canonical_labeling,
     complete_graph,
     hub_edge_bound,
@@ -310,6 +312,66 @@ def test_resume_token_missing_fields_are_rejected():
             SearchResume.from_dict(partial)
     with pytest.raises(ValueError):
         SearchResume.from_dict([data])
+
+
+def test_finished_token_replays_its_result():
+    # a finished search is a token that owes no unit; resuming from it
+    # walks nothing and reports the same result with zero work
+    params = FTParams(2, 2, 3)
+    straight = search_minimum(params)
+    token = straight.state()
+    assert (token.unit, token.after, token.seen_certs) == (None, None, ())
+    data = token.to_dict()
+    assert data["status"] == "complete" and data["unit"] is None
+    assert SearchResume.from_dict(data) == token
+    assert SearchResume.from_dict(data).to_dict() == data
+    replay = search_minimum(params, resume=SearchResume.from_dict(data))
+    assert replay.exhaustive and replay.resume is None
+    assert replay.minimum_found == straight.minimum_found == 19
+    assert replay.exemplars == straight.exemplars
+    assert replay.graphs_examined == straight.graphs_examined
+    assert replay.stats == dict.fromkeys(straight.stats, 0)
+    assert replay.state() == token
+    # a finished search that found nothing up to max_edges replays nothing
+    none_found = search_minimum(FTParams(1, 2, 3), max_edges=11).state()
+    assert none_found.best_m is None and none_found.unit is None
+    replay = search_minimum(FTParams(1, 2, 3), resume=none_found)
+    assert (replay.minimum_found, replay.exemplars, replay.exhaustive) == (None, (), True)
+
+
+def test_finished_token_keeps_only_its_result():
+    data = search_minimum(FTParams(1, 2, 3)).state().to_dict()
+    interrupted = _token_dict()
+    for bad in ({"status": "running"}, {"unit": interrupted["unit"]},
+                {"after": interrupted["after"]}, {"seen_certs": data["best_certs"]}):
+        with pytest.raises(ValueError):
+            SearchResume.from_dict({**data, **bad})
+    unmarked = dict(data)
+    del unmarked["status"]
+    with pytest.raises(ValueError, match="status"):
+        SearchResume.from_dict(unmarked)
+    with pytest.raises(ValueError, match="status"):
+        SearchResume.from_dict({**interrupted, "status": "complete"})
+
+
+def test_resume_checks_the_best_certificates():
+    params = FTParams(2, 2, 3)
+    token = search_minimum(params).state()
+    # canonical and 19 edges on 8 vertices, but verify_ft rejects it (GJm}nS)
+    rejected = CanonicalForm(8, 0xb5ef9f8)
+    assert canonical_form(canonical_graph(rejected)) == rejected
+    assert not verify_ft(canonical_graph(rejected), params).holds
+    # the accepted class under another labeling: a code above the least one
+    accepted = canonical_graph(token.best_certs[0])
+    other = relabeled(accepted, list(reversed(range(accepted.n))))
+    code = sum(1 << t for t, (u, v) in enumerate(
+        (u, v) for u in range(8) for v in range(u + 1, 8)) if other.has_edge(u, v))
+    assert code != token.best_certs[0].code and verify_ft(other, params).holds
+    for cert in (rejected, CanonicalForm(8, code)):
+        for forged in (replace(token, best_certs=(cert,)),
+                       replace(token, unit=(19, 7), best_certs=(cert,), seen_certs=(cert,))):
+            with pytest.raises(ValueError, match="best_certs"):
+                search_minimum(params, resume=forged)
 
 
 def test_resume_parameter_mismatch():
