@@ -43,9 +43,8 @@ __all__ = [
     "probe_conjecture",
 ]
 
-# The enumerator's walk recurses once per slot, C(n-1, 2) of them, so the
-# order is capped where the deepest walk (741 slots at 40) stays clear of
-# CPython's default recursion limit of 1,000 frames.
+# The walk's slot table and its stack of up to C(n-1, 2) nodes of n rows
+# grow as n^3, so the orders taken from callers and tokens stop at 40.
 _MASK_ORDER_LIMIT = 40
 # Resume tokens record a position in the enumerator's stream, so they are
 # only valid for the token format and enumerator that wrote them.
@@ -65,8 +64,8 @@ class Budget:
     def __post_init__(self) -> None:
         if self.seconds is not None and not self.seconds > 0:  # also rejects nan
             raise ValueError(f"seconds budget must be positive, got {self.seconds}")
-        if self.graphs is not None and self.graphs < 1:
-            raise ValueError(f"graphs budget must be >= 1, got {self.graphs}")
+        if self.graphs is not None and (type(self.graphs) is not int or self.graphs < 1):
+            raise ValueError(f"graphs budget must be an integer >= 1, got {self.graphs!r}")
 
 
 def _certs_to_json(certs: tuple[CanonicalForm, ...]) -> list:
@@ -276,7 +275,9 @@ def _iter_adjacencies(n: int, m: int, dmin: int, d0: int, after=None, tight=None
     so the walk stops one step after a degree passes 2m - d0 - (n-2)*dmin.
     Slots are taken before they are skipped, so past `after` (a yielded
     tuple) the walk takes only its slots on its path, leaves it by their
-    skip branches and skips its leaf.
+    skip branches and skips its leaf. The walk is one loop: it follows
+    each take branch in place and stacks only the skip branch, with the
+    rows it starts from; a degree is its row's bit count.
 
     With a `tight` degree, only graphs in which every vertex of that degree
     has a clique closed neighborhood are yielded, in the same order, and
@@ -310,18 +311,14 @@ def _iter_adjacencies(n: int, m: int, dmin: int, d0: int, after=None, tight=None
 
     adj = [0] * n
     adj[0] = mask_of(range(1, d0 + 1))
-    deg = [0] * n
-    deg[0] = d0
     for v in range(1, d0 + 1):
         adj[v] = 1
-        deg[v] = 1
-    deficit0 = sum(max(0, dmin - deg[v]) for v in range(1, n))
 
     def closes(x: int, done: int, tight_done: int) -> int:
         # tight_done (the final vertices of degree tight) once x is final
         # among the final vertices done, or -1 if x breaks the tight rule.
         closed_x = adj[x] | 1 << x
-        if deg[x] == tight:
+        if adj[x].bit_count() == tight:
             for y in bits(adj[x] & done):
                 if closed_x & ~(adj[y] | 1 << y):
                     return -1
@@ -331,41 +328,40 @@ def _iter_adjacencies(n: int, m: int, dmin: int, d0: int, after=None, tight=None
                 return -1
         return tight_done
 
-    def walk(i: int, need: int, deficit: int, path, tight_done: int):
-        if deficit > 2 * need:
-            return
-        x = closing[i]
-        if x:
-            tight_done = closes(x, final[i], tight_done)
-            if tight_done < 0:
-                return
-        if need == 0:
-            if deficit == 0 and path is None:
-                leaf = tuple(adj)
-                if tight is None or tight_vertex_with_open_closure(
-                        Graph._from_adj(n, leaf), tight) is None:
-                    yield leaf
-            return
-        if total_slots - i < need:
-            return
-        u, v, skip_u, skip_v = slots[i]
-        du, dv = deg[u], deg[v]
-        on_take = path is None or path[u] >> v & 1
-        if on_take:
-            delta = (du < dmin) + (dv < dmin)
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            deg[u] = du + 1
-            deg[v] = dv + 1
-            yield from walk(i + 1, need - 1, deficit - delta, path, tight_done)
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
-            deg[u] = du
-            deg[v] = dv
-        if du >= skip_u and dv >= skip_v and not adj[u] & adj[v] & tight_done:
-            yield from walk(i + 1, need, deficit, None if on_take else path, tight_done)
-
-    yield from walk(0, m - d0, deficit0, after, 1 if d0 == tight else 0)
+    deficit = sum(max(0, dmin - adj[v].bit_count()) for v in range(1, n))
+    stack = [(0, m - d0, deficit, after, 1 if d0 == tight else 0, tuple(adj))]
+    while stack:
+        i, need, deficit, path, tight_done, rows = stack.pop()
+        adj[:] = rows
+        while deficit <= 2 * need:
+            x = closing[i]
+            if x:
+                tight_done = closes(x, final[i], tight_done)
+                if tight_done < 0:
+                    break
+            if need == 0:
+                if deficit == 0 and path is None:
+                    leaf = tuple(adj)
+                    if tight is None or tight_vertex_with_open_closure(
+                            Graph._from_adj(n, leaf), tight) is None:
+                        yield leaf
+                break
+            if total_slots - i < need:
+                break
+            u, v, skip_u, skip_v = slots[i]
+            au, av = adj[u], adj[v]
+            du, dv = au.bit_count(), av.bit_count()
+            on_take = path is None or path[u] >> v & 1
+            i += 1
+            if du >= skip_u and dv >= skip_v and not au & av & tight_done:
+                stack.append((i, need, deficit, None if on_take else path, tight_done,
+                              tuple(adj)))
+            if not on_take:
+                break
+            adj[u] = au | 1 << v
+            adj[v] = av | 1 << u
+            need -= 1
+            deficit -= (du < dmin) + (dv < dmin)
 
 
 def search_minimum(params: FTParams, max_edges: int | None = None,
@@ -385,6 +381,8 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
     n = params.critical_order
     if n > _MASK_ORDER_LIMIT:
         raise ValueError(f"search supports order <= {_MASK_ORDER_LIMIT}, got {n}")
+    if max_edges is not None and type(max_edges) is not int:
+        raise ValueError(f"max_edges must be an integer, got {max_edges!r}")
     dmin, lower = _floor_and_lower(params)
     bound = hub_edge_bound(k, p, c)
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -139,10 +140,20 @@ def test_order_guard():
         search_minimum(FTParams(1, 22, 3))
 
 
-def test_order_limit_is_the_deepest_walk_that_fits_the_stack():
-    # order 40 walks C(39, 2) = 741 slots, one frame each, and reaches a
-    # graph in the last slot (the first graph of (0,8,5) is 8 K5 on labels
-    # in order); order 41 is refused, by the search and by tokens alike
+def test_max_edges_must_be_an_integer(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("a unit was walked")
+
+    monkeypatch.setattr(search_module, "_iter_adjacencies", no_walk)
+    for max_edges in (19.5, True):
+        with pytest.raises(ValueError, match="max_edges must be an integer"):
+            search_minimum(FTParams(2, 2, 3), max_edges=max_edges)
+
+
+def test_order_limit_is_40_for_searches_and_tokens():
+    # order 40 walks C(39, 2) = 741 slots and reaches a graph in the last
+    # slot (the first graph of (0,8,5) is 8 K5 on labels in order); order
+    # 41 is refused, by the search and by tokens alike
     report = search_minimum(FTParams(0, 8, 5), budget=Budget(graphs=1))
     assert report.n == 40
     assert report.graphs_examined == 1
@@ -158,6 +169,13 @@ def test_order_limit_is_the_deepest_walk_that_fits_the_stack():
 def test_budget_rejects_seconds_that_are_not_positive(seconds):
     with pytest.raises(ValueError, match="seconds budget"):
         Budget(seconds=seconds)
+
+
+@pytest.mark.parametrize("graphs", [0, 1.5, 2.0, True])
+def test_budget_rejects_graphs_that_are_not_positive_integers(graphs):
+    # a graph budget is exact, so it counts whole graphs
+    with pytest.raises(ValueError, match="graphs budget"):
+        Budget(graphs=graphs)
 
 
 def test_budget_stops_and_resume_finishes():
@@ -450,6 +468,54 @@ def test_enumerator_matches_bruteforce(n):
                 assert sorted(stream) == expected
                 for i, after in enumerate(stream):
                     assert list(_iter_adjacencies(n, m, dmin, d0, after)) == stream[i + 1:]
+
+
+def test_walk_does_not_recurse():
+    # the order-40 walk decides 741 slots before its first graph, 8 K5 on
+    # labels in order, with 50 frames of headroom over the caller's stack
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        adj = next(_iter_adjacencies(40, 80, 4, 4, None, 4))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert adj == tuple(mask_of(range(v - v % 5, v - v % 5 + 5)) & ~(1 << v)
+                        for v in range(40))
+
+
+def test_enumerator_stream_is_pinned():
+    # resume tokens name positions in the stream, so its order is pinned,
+    # not only its set: n = 4..7, every dmin <= d0 < n, m from one below
+    # the floor's edge count to five above, without and with the tight rule
+    digest, count = hashlib.sha256(), 0
+    for n in range(4, 8):
+        for dmin in range(1, n):
+            lower = (n * dmin + 1) // 2
+            for d0 in range(dmin, n):
+                for m in range(lower - 1, lower + 6):
+                    for tight in (None, dmin):
+                        for adj in _iter_adjacencies(n, m, dmin, d0, None, tight):
+                            digest.update(repr(adj).encode())
+                            count += 1
+    assert count == 210_375
+    assert digest.hexdigest() == \
+        "4ed446411c51cbe5769b7e418a1a99ae2fe7babf04baf19e3663959d9b8b3543"
+
+
+@pytest.mark.parametrize("n,m,d0s,graphs", [(8, 19, [4], 6), (10, 29, range(5, 10), 10)])
+def test_seeking_from_a_search_unit_gives_its_tail(n, m, d0s, graphs):
+    # the (2,2,3) unit (19, 4) and the (2,2,4) units (29, d0), as the
+    # search walks them: the unit's d0 as floor and c+k-1 as tight degree
+    tight, total = d0s[0], 0
+    for d0 in d0s:
+        stream = list(_iter_adjacencies(n, m, d0, d0, None, tight))
+        for i, after in enumerate(stream):
+            assert list(_iter_adjacencies(n, m, d0, d0, after, tight)) == stream[i + 1:]
+        total += len(stream)
+    assert total == graphs
 
 
 def _tight_closed(n, adj, tight):
