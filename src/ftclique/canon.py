@@ -9,6 +9,21 @@ is the first leaf that reached it. Two leaves with one code differ by an
 automorphism. At each node, a vertex whose orbit under the automorphisms
 found so far that fix the node's individualized vertices meets an
 explored sibling is skipped, since it leads to an identical subtree.
+
+A leaf whose code an earlier leaf reached gives an automorphism that maps
+the earlier leaf's path onto the current one. It fixes their common prefix
+and maps the earlier child of that deepest common node, whose subtree is
+explored, onto the current child, so the walk backjumps to that node and
+skips the rest of the current child's subtree. Pruned leaves are images of
+leaves already seen, with the same codes, so the certificate and labeling
+do not depend on the pruning.
+
+Refinement counts each vertex against every cell in its first round only.
+Vertices of one cell then agree on every cell that did not split in the
+last round, so each later round counts only against the parts that round
+produced; the sorted order of the signatures, and so the partitions, are
+those of the full count.
+
 Intended for the search regime.
 """
 
@@ -47,23 +62,30 @@ def _encode(adj: tuple[int, ...], perm: tuple[int, ...]) -> int:
 
 
 def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
-    # Split cells by neighbor counts against every cell until no cell
-    # splits. The grouping key is label-free, so isomorphic graphs refine
-    # identically.
+    # Split cells by neighbor counts until no cell splits. The grouping key
+    # is label-free, so isomorphic graphs refine identically. Rounds after
+    # the first count only against the parts the last round produced.
+    against = cells
     while True:
         new_cells: list[int] = []
+        parts: list[int] = []
         for cell in cells:
             if cell & (cell - 1) == 0:
                 new_cells.append(cell)
                 continue
             groups: dict[tuple[int, ...], int] = {}
             for v in bits(cell):
-                sig = tuple((adj[v] & other).bit_count() for other in cells)
+                row = adj[v]
+                sig = tuple((row & other).bit_count() for other in against)
                 groups[sig] = groups.get(sig, 0) | (1 << v)
-            new_cells += [groups[sig] for sig in sorted(groups)]
-        if len(new_cells) == len(cells):
+            split = [groups[sig] for sig in sorted(groups)]
+            new_cells += split
+            if len(split) > 1:
+                parts += split
+        if not parts:
             return cells
         cells = new_cells
+        against = parts
 
 
 def _canonize(graph: Graph) -> tuple[int, tuple[int, ...]]:
@@ -75,10 +97,10 @@ def _canonize(graph: Graph) -> tuple[int, tuple[int, ...]]:
         by_degree[d] = by_degree.get(d, 0) | (1 << v)
     cells = _refine(adj, [by_degree[d] for d in sorted(by_degree)])
 
-    # leaves maps each leaf code to the first labeling that reached it;
-    # a later labeling with the same code differs from it by an
-    # automorphism, kept in gens.
-    leaves: dict[int, tuple[int, ...]] = {}
+    # leaves maps each leaf code to the first labeling that reached it and
+    # that leaf's base (its individualized vertices); a later labeling with
+    # the same code differs from it by an automorphism, kept in gens.
+    leaves: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     gens: list[tuple[int, ...]] = []
 
     def orbit(v: int, base: tuple[int, ...]) -> int:
@@ -95,17 +117,23 @@ def _canonize(graph: Graph) -> tuple[int, tuple[int, ...]]:
             reached |= frontier
         return reached
 
-    def walk(cells: list[int], base: tuple[int, ...]) -> None:
+    def walk(cells: list[int], base: tuple[int, ...]) -> int:
+        # Explores the node with this base; returns the depth to resume at.
+        depth = len(base)
         target = next((i for i, cell in enumerate(cells) if cell & (cell - 1)), None)
         if target is None:
             perm = tuple(c.bit_length() - 1 for c in cells)
-            prior = leaves.setdefault(_encode(adj, perm), perm)
-            if prior != perm:
-                g = [0] * n
-                for i in range(n):
-                    g[prior[i]] = perm[i]
-                gens.append(tuple(g))
-            return
+            prior, prior_base = leaves.setdefault(_encode(adj, perm), (perm, base))
+            if prior == perm:
+                return depth
+            g = [0] * n
+            for i in range(n):
+                g[prior[i]] = perm[i]
+            gens.append(tuple(g))
+            # g maps the prior leaf's path onto this one, so it fixes their
+            # common prefix and maps the prior child of that node, whose
+            # subtree is explored, onto the current one: back up to it.
+            return next(i for i in range(depth) if prior_base[i] != base[i])
         cell = cells[target]
         done = 0  # mask of the siblings already explored
         for v in bits(cell):
@@ -115,11 +143,14 @@ def _canonize(graph: Graph) -> tuple[int, tuple[int, ...]]:
                 continue
             done |= 1 << v
             child = cells[:target] + [1 << v, cell & ~(1 << v)] + cells[target + 1 :]
-            walk(_refine(adj, child), base + (v,))
+            resume = walk(_refine(adj, child), base + (v,))
+            if resume < depth:
+                return resume
+        return depth
 
     walk(cells, ())
     code = min(leaves)
-    return code, leaves[code]
+    return code, leaves[code][0]
 
 
 def canonical_form(graph: Graph) -> CanonicalForm:

@@ -284,10 +284,11 @@ def _iter_adjacencies(n: int, m: int, dmin: int, d0: int, after=None, tight=None
     dead branches are cut early. Vertex x is final once its last slot
     (x, n-1) is decided (vertex 0 from the start), and for a final vertex
     w of degree tight: (i) no slot with both ends in N(w) may be skipped,
-    so when d0 == tight N[0] is a clique; (ii) the walk stops as soon as a
-    final x in N[w] has N[w] not inside N[x], which catches the pairs
-    decided before w was final. The leaf applies the rule itself, through
-    `audit.tight_vertex_with_open_closure`.
+    so when d0 == tight N[0] is a clique; (ii) when w becomes final, the
+    walk stops if some final x in N(w) has N[w] not inside N[x], which
+    catches pairs decided before w was final. The leaf applies the rule
+    itself, through `audit.tight_vertex_with_open_closure`, and so catches
+    what (ii) leaves to the neighbors of w that become final after it.
     """
     if not dmin <= d0 <= n - 1:
         return
@@ -317,16 +318,13 @@ def _iter_adjacencies(n: int, m: int, dmin: int, d0: int, after=None, tight=None
     def closes(x: int, done: int, tight_done: int) -> int:
         # tight_done (the final vertices of degree tight) once x is final
         # among the final vertices done, or -1 if x breaks the tight rule.
+        if adj[x].bit_count() != tight:
+            return tight_done
         closed_x = adj[x] | 1 << x
-        if adj[x].bit_count() == tight:
-            for y in bits(adj[x] & done):
-                if closed_x & ~(adj[y] | 1 << y):
-                    return -1
-            tight_done |= 1 << x
-        for w in bits(adj[x] & tight_done):
-            if (adj[w] | 1 << w) & ~closed_x:
+        for y in bits(adj[x] & done):
+            if closed_x & ~(adj[y] | 1 << y):
                 return -1
-        return tight_done
+        return tight_done | 1 << x
 
     deficit = sum(max(0, dmin - adj[v].bit_count()) for v in range(1, n))
     stack = [(0, m - d0, deficit, after, 1 if d0 == tight else 0, tuple(adj))]

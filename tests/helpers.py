@@ -9,6 +9,7 @@ import random
 from itertools import combinations, permutations
 
 from ftclique import Graph
+from ftclique.graphs import bits
 
 
 def random_graph(rng: random.Random, n: int, prob: float) -> Graph:
@@ -319,3 +320,25 @@ def surviving_clique_reference(g: Graph, k: int, c: int):
             if not has_clique_containing(g, v, c, g.full_mask & ~mask_of(s)):
                 return {"vertex": v, "deleted": list(s)}
     return None
+
+
+def refine_reference(adj: tuple[int, ...], cells: list[int]) -> list[int]:
+    """Equitable refinement counting every vertex against every cell in
+    every round: the full-count form of `canon._refine`."""
+    # Split cells by neighbor counts against every cell until no cell
+    # splits. The grouping key is label-free, so isomorphic graphs refine
+    # identically.
+    while True:
+        new_cells: list[int] = []
+        for cell in cells:
+            if cell & (cell - 1) == 0:
+                new_cells.append(cell)
+                continue
+            groups: dict[tuple[int, ...], int] = {}
+            for v in bits(cell):
+                sig = tuple((adj[v] & other).bit_count() for other in cells)
+                groups[sig] = groups.get(sig, 0) | (1 << v)
+            new_cells += [groups[sig] for sig in sorted(groups)]
+        if len(new_cells) == len(cells):
+            return cells
+        cells = new_cells

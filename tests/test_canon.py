@@ -1,17 +1,26 @@
 """Canonical forms: invariance under relabeling, completeness vs brute force."""
 
+import hashlib
 import random
+import time
+from functools import reduce
+from itertools import combinations
 
 from ftclique import (
+    Graph,
+    TreeTemplate,
     canonical_form,
     canonical_graph,
     canonical_labeling,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     relabeled,
     star_construction,
+    tree_of_cliques,
 )
-from helpers import isomorphic_bruteforce, random_graph
+from ftclique.canon import _refine
+from helpers import isomorphic_bruteforce, random_graph, refine_reference
 
 
 def test_relabelings_share_one_form():
@@ -83,3 +92,73 @@ def test_canonical_labeling_achieves_the_form():
     for i, v in enumerate(perm):
         inverse[v] = i
     assert relabeled(g, inverse) == canonical_graph(canonical_form(g))
+
+
+def _union(*graphs: Graph) -> Graph:
+    return reduce(disjoint_union, graphs)
+
+
+def _complement(g: Graph) -> Graph:
+    return Graph(g.n, [(u, v) for u, v in combinations(range(g.n), 2) if not g.has_edge(u, v)])
+
+
+def _cube(d: int) -> Graph:
+    return Graph(1 << d, [(v, v | 1 << b) for v in range(1 << d) for b in range(d)
+                          if not v >> b & 1])
+
+
+def _symmetric_corpus():
+    petersen = Graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    base = [_union(*[complete_graph(a)] * t) for t, a in
+            [(2, 2), (3, 2), (5, 2), (8, 2), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4), (2, 5)]]
+    base += [cycle_graph(n) for n in range(3, 13)]
+    base += [petersen, _cube(3), _cube(4)]
+    # regular but not vertex-transitive: refinement leaves vertices of
+    # different orbits in one cell, so a backjump past the deepest common
+    # node would lose leaves no other branch reaches
+    k33 = Graph(6, [(i, j) for i in range(3) for j in range(3, 6)])
+    base += [_union(cycle_graph(3), cycle_graph(4), cycle_graph(5)),
+             _union(cycle_graph(6), cycle_graph(3), cycle_graph(3)),
+             _union(complete_graph(4), k33), _union(petersen, k33, complete_graph(4))]
+    base += [star_construction(k, p, c) for k, p, c in
+             [(1, 2, 3), (2, 2, 3), (2, 3, 3), (1, 3, 4), (3, 2, 4), (2, 2, 5), (0, 4, 3), (2, 10, 3)]]
+    base += [tree_of_cliques(2, 3, TreeTemplate.path(3, 2, 3)),
+             tree_of_cliques(1, 4, TreeTemplate.star(4, 1))]
+    rng = random.Random(1616)
+    for g in base + [_complement(g) for g in base]:
+        yield g
+        for _ in range(3):
+            yield relabeled(g, rng.sample(range(g.n), g.n))
+    yield _union(*[complete_graph(2)] * 20)
+
+
+def test_canonical_labelings_of_symmetric_graphs_are_pinned():
+    # the random corpus of the other pin has almost no automorphisms; here
+    # most leaves are automorphic images of earlier ones
+    digest = hashlib.sha256()
+    for g in _symmetric_corpus():
+        digest.update(repr((g.n, canonical_form(g).code, canonical_labeling(g))).encode())
+    assert digest.hexdigest() == \
+        "45b8bc6e8031d661425705de36dd971c9d7849746f59e4133f5ec600d8b2fa61"
+
+
+def test_many_automorphisms_are_cheap():
+    # 20 K2 has 2^20 * 20! automorphisms; every branch but the first at
+    # each level is an image of explored work
+    started = time.monotonic()
+    canonical_form(_union(*[complete_graph(2)] * 20))
+    elapsed = time.monotonic() - started
+    assert elapsed < 2, f"canonical_form(20 K2) took {elapsed:.1f}s, ceiling 2s"
+
+
+def test_refine_matches_full_count_reference():
+    rng = random.Random(1414)
+    for _ in range(1000):
+        n = rng.randint(1, 14)
+        g = random_graph(rng, n, rng.random())
+        order = rng.sample(range(n), n)
+        # random cut points, so some cells are singletons
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+        cells = [sum(1 << v for v in order[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+        assert _refine(g.adj, cells) == refine_reference(g.adj, cells)
