@@ -21,6 +21,7 @@ from .audit import (
 from .blocks import BlockDecomposition, blocks
 from .canon import (
     CanonicalForm,
+    automorphism_generators,
     canonical_form,
     canonical_graph,
     canonical_labeling,
@@ -106,6 +107,7 @@ __all__ = [
     "audit_basic",
     "audit_low_degree_cliques",
     "audit_separator",
+    "automorphism_generators",
     "blocks",
     "c2_even_k_construction",
     "canonical_form",

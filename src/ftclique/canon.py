@@ -18,11 +18,23 @@ skips the rest of the current child's subtree. Pruned leaves are images of
 leaves already seen, with the same codes, so the certificate and labeling
 do not depend on the pruning.
 
-Refinement counts each vertex against every cell in its first round only.
-Vertices of one cell then agree on every cell that did not split in the
-last round, so each later round counts only against the parts that round
-produced; the sorted order of the signatures, and so the partitions, are
-those of the full count.
+Refinement splits each cell by its vertices' neighbor counts into a list
+of splitter cells, and sorts the parts by those counts. The root's first
+round counts against every cell. A child's parent partition is already
+equitable, so the only thing that can split a cell of the child is
+adjacency to the individualized vertex v: its first round counts against
+{v} alone, and sorting by that count gives the order the full count
+gives. After any round, the vertices of one cell agree on every cell that
+did not split, so each later round counts only against the parts the
+last round produced. A vertex's counts are packed into one integer key,
+n.bit_length() bits per splitter with the first splitter highest; no
+count reaches n, so the keys sort exactly as the count tuples do. The
+partitions, and so the certificates and labelings, are those of the full
+count in every round.
+
+automorphism_generators returns the automorphisms the search found at
+leaves. Every leaf it prunes is the image of an explored leaf under the
+group they generate, so they generate the whole automorphism group.
 
 Intended for the search regime.
 """
@@ -36,6 +48,7 @@ __all__ = [
     "canonical_form",
     "canonical_labeling",
     "canonical_graph",
+    "automorphism_generators",
 ]
 
 @dataclass(frozen=True, order=True)
@@ -61,11 +74,17 @@ def _encode(adj: tuple[int, ...], perm: tuple[int, ...]) -> int:
     return code
 
 
-def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
+def _refine(adj: tuple[int, ...], cells: list[int],
+            against: list[int] | None = None) -> list[int]:
     # Split cells by neighbor counts until no cell splits. The grouping key
-    # is label-free, so isomorphic graphs refine identically. Rounds after
-    # the first count only against the parts the last round produced.
-    against = cells
+    # is label-free, so isomorphic graphs refine identically. The first
+    # round counts against `against` (every cell by default), later rounds
+    # only against the parts the last round produced. A vertex's counts
+    # are packed into one int, `width` bits per splitter with the first
+    # highest; no count reaches n, so the ints sort as the count tuples.
+    width = len(adj).bit_length()
+    if against is None:
+        against = cells
     while True:
         new_cells: list[int] = []
         parts: list[int] = []
@@ -73,22 +92,29 @@ def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
             if cell & (cell - 1) == 0:
                 new_cells.append(cell)
                 continue
-            groups: dict[tuple[int, ...], int] = {}
-            for v in bits(cell):
-                row = adj[v]
-                sig = tuple((row & other).bit_count() for other in against)
-                groups[sig] = groups.get(sig, 0) | (1 << v)
-            split = [groups[sig] for sig in sorted(groups)]
+            groups: dict[int, int] = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                row = adj[low.bit_length() - 1]
+                key = 0
+                for other in against:
+                    key = key << width | (row & other).bit_count()
+                groups[key] = groups.get(key, 0) | low
+            if len(groups) == 1:
+                new_cells.append(cell)
+                continue
+            split = [groups[key] for key in sorted(groups)]
             new_cells += split
-            if len(split) > 1:
-                parts += split
+            parts += split
         if not parts:
             return cells
         cells = new_cells
         against = parts
 
 
-def _canonize(graph: Graph) -> tuple[int, tuple[int, ...]]:
+def _canonize(graph: Graph) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
     n = graph.n
     adj = graph.adj
     by_degree: dict[int, int] = {}
@@ -143,26 +169,35 @@ def _canonize(graph: Graph) -> tuple[int, tuple[int, ...]]:
                 continue
             done |= 1 << v
             child = cells[:target] + [1 << v, cell & ~(1 << v)] + cells[target + 1 :]
-            resume = walk(_refine(adj, child), base + (v,))
+            # The parent partition is equitable, so only adjacency to v can
+            # split a cell of the child.
+            resume = walk(_refine(adj, child, [1 << v]), base + (v,))
             if resume < depth:
                 return resume
         return depth
 
     walk(cells, ())
     code = min(leaves)
-    return code, leaves[code][0]
+    return code, leaves[code][0], gens
 
 
 def canonical_form(graph: Graph) -> CanonicalForm:
     """Certificate equal across all relabelings of the graph, and only those."""
-    code, _ = _canonize(graph)
+    code, _, _ = _canonize(graph)
     return CanonicalForm(graph.n, code)
 
 
 def canonical_labeling(graph: Graph) -> tuple[int, ...]:
     """perm with perm[i] = input vertex placed at canonical position i."""
-    _, perm = _canonize(graph)
+    _, perm, _ = _canonize(graph)
     return perm
+
+
+def automorphism_generators(graph: Graph) -> list[tuple[int, ...]]:
+    """Generators of the whole automorphism group: permutations g that map
+    vertex v to g[v]; [] when the group is trivial."""
+    _, _, gens = _canonize(graph)
+    return gens
 
 
 def canonical_graph(form: CanonicalForm) -> Graph:

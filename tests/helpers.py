@@ -34,6 +34,15 @@ def isomorphic_bruteforce(a: Graph, b: Graph) -> bool:
     return False
 
 
+def automorphism_count_bruteforce(g: Graph) -> int:
+    """Number of permutations that preserve every edge; n <= 7 expected."""
+    deg = g.degrees()
+    edges = g.edges()
+    return sum(all(deg[v] == deg[perm[v]] for v in range(g.n))
+               and all(g.has_edge(perm[u], perm[v]) for u, v in edges)
+               for perm in permutations(range(g.n)))
+
+
 def edge_connectivity_bruteforce(g: Graph) -> int:
     """Minimum crossing-edge count over all bipartitions of the vertices."""
     n = g.n

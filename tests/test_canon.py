@@ -9,6 +9,7 @@ from itertools import combinations
 from ftclique import (
     Graph,
     TreeTemplate,
+    automorphism_generators,
     canonical_form,
     canonical_graph,
     canonical_labeling,
@@ -20,7 +21,13 @@ from ftclique import (
     tree_of_cliques,
 )
 from ftclique.canon import _refine
-from helpers import isomorphic_bruteforce, random_graph, refine_reference
+from ftclique.graphs import bits
+from helpers import (
+    automorphism_count_bruteforce,
+    isomorphic_bruteforce,
+    random_graph,
+    refine_reference,
+)
 
 
 def test_relabelings_share_one_form():
@@ -107,9 +114,13 @@ def _cube(d: int) -> Graph:
                           if not v >> b & 1])
 
 
+def _petersen() -> Graph:
+    return Graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
 def _symmetric_corpus():
-    petersen = Graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
-                     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    petersen = _petersen()
     base = [_union(*[complete_graph(a)] * t) for t, a in
             [(2, 2), (3, 2), (5, 2), (8, 2), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4), (2, 5)]]
     base += [cycle_graph(n) for n in range(3, 13)]
@@ -154,6 +165,7 @@ def test_many_automorphisms_are_cheap():
 
 def test_refine_matches_full_count_reference():
     rng = random.Random(1414)
+    cases = []
     for _ in range(1000):
         n = rng.randint(1, 14)
         g = random_graph(rng, n, rng.random())
@@ -161,4 +173,51 @@ def test_refine_matches_full_count_reference():
         # random cut points, so some cells are singletons
         cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
         cells = [sum(1 << v for v in order[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
-        assert _refine(g.adj, cells) == refine_reference(g.adj, cells)
+        cases.append((g, cells))
+    # order >= 65 with 64 or more neighbors inside one cell: a count field
+    # narrower than n.bit_length() bits spills into the field above it
+    star = Graph(71, [(0, i) for i in range(1, 71)])
+    cocktail = _complement(_union(*[complete_graph(2)] * 35))
+    for g in (star, cocktail):
+        everything = (1 << g.n) - 1
+        cases += [(g, [everything])]
+        cases += [(g, [1 << u, everything & ~(1 << u)]) for u in range(4)]
+    for g, cells in cases:
+        refined = _refine(g.adj, cells)
+        assert refined == refine_reference(g.adj, cells)
+        # a child of the equitable partition: one vertex of its first
+        # non-singleton cell individualized, counted against alone first
+        target = next((i for i, cell in enumerate(refined) if cell & (cell - 1)), None)
+        if target is None:
+            continue
+        cell = refined[target]
+        for v in bits(cell):
+            child = refined[:target] + [1 << v, cell & ~(1 << v)] + refined[target + 1:]
+            assert _refine(g.adj, child, [1 << v]) == refine_reference(g.adj, child)
+
+
+def _group_order(gens, n: int) -> int:
+    # Close the generators under composition.
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        images = {tuple(g[h[v]] for v in range(n)) for h in frontier for g in gens}
+        frontier = list(images - group)
+        group |= images
+    return len(group)
+
+
+def test_automorphism_generators_generate_the_group():
+    rng = random.Random(2323)
+    for _ in range(600):
+        n = rng.randint(1, 7)
+        g = random_graph(rng, n, rng.random())
+        gens = automorphism_generators(g)
+        assert all(relabeled(g, perm) == g for perm in gens)
+        assert _group_order(gens, n) == automorphism_count_bruteforce(g)
+    for g, order in [(_petersen(), 120), (_cube(3), 48), (_cube(4), 384),
+                     (_union(*[complete_graph(2)] * 4), 384)]:
+        gens = automorphism_generators(g)
+        assert all(relabeled(g, perm) == g for perm in gens)
+        assert _group_order(gens, g.n) == order
