@@ -229,8 +229,7 @@ class SearchReport:
     # them twice across resumes, each canonicalized. new_classes of those
     # were unseen at their edge count, also by earlier runs, verify_calls
     # of those were verified (the connectivity prune skips disconnected
-    # ones), and accepted of those hold. canon_seconds and verify_seconds
-    # are the time spent in those canonical forms and verify calls.
+    # ones), and accepted of those hold.
     stats: dict = field(default_factory=dict, compare=False)
 
     def state(self) -> SearchResume:
@@ -429,7 +428,6 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
     tight = dmin if c >= 3 else None
     connectivity_prune = k >= 1 and c >= 3
     new_classes = verify_calls = accepted = 0
-    canon_seconds = verify_seconds = 0.0
 
     # Walk the units (m, d0) from the cursor up to last_m; a solution at
     # best_m drops every larger edge count. after is the last graph of the
@@ -437,18 +435,13 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
     while m <= last_m:
         for adj in _iter_adjacencies(n, m, d0, d0, None if after is None else after.adj, tight):
             g = Graph._from_adj(n, adj)
-            started = time.perf_counter()
             cert = canonical_form(g)
-            canon_seconds += time.perf_counter() - started
             if cert not in seen:
                 seen.add(cert)
                 new_classes += 1
                 if not connectivity_prune or is_connected(g):
                     verify_calls += 1
-                    started = time.perf_counter()
-                    holds = verify_ft(g, params).holds
-                    verify_seconds += time.perf_counter() - started
-                    if holds:
+                    if verify_ft(g, params).holds:
                         accepted += 1
                         if best_m is None:
                             best_m = last_m = m
@@ -505,8 +498,6 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
             "new_classes": new_classes,
             "verify_calls": verify_calls,
             "accepted": accepted,
-            "canon_seconds": round(canon_seconds, 6),
-            "verify_seconds": round(verify_seconds, 6),
         },
     )
 

@@ -131,9 +131,6 @@ def test_filter_rejects_before_canonical_forms():
     stats = report.stats
     assert report.graphs_examined == stats["labeled_graphs"] == 6
     assert stats["new_classes"] == stats["verify_calls"] == stats["accepted"] == 1
-    # six canonical forms and one verify call, timed inside the run
-    assert 0 < stats["canon_seconds"] and 0 < stats["verify_seconds"]
-    assert stats["canon_seconds"] + stats["verify_seconds"] <= report.elapsed
     assert report.to_dict()["stats"] == stats
 
 
