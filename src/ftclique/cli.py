@@ -131,18 +131,16 @@ def _parse_template_text(text: str) -> tuple[int, int, TreeTemplate]:
         raise ValueError(
             f"template header must be 'p k c', got {' '.join(lines[0])!r}"
         ) from None
-    edges = []
-    attachments = []
+    gluings = []
     for parts in lines[1:]:
         if len(parts) != 2 + k:
             raise ValueError(
                 f"template line must be 'parent child {k} slot indices', "
                 f"got {' '.join(parts)!r}"
             )
-        vals = [int(x) for x in parts]
-        edges.append((vals[0], vals[1]))
-        attachments.append((vals[1], tuple(vals[2:])))
-    return k, c, TreeTemplate(p, tuple(edges), tuple(attachments))
+        parent, child, *slots = (int(x) for x in parts)
+        gluings.append((parent, child, tuple(slots)))
+    return k, c, TreeTemplate(p, tuple(gluings))
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:

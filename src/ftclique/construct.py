@@ -1,22 +1,19 @@
 """Constructions that realize the best known edge counts.
 
-star_construction glues p disjoint c-cliques onto a shared K_k hub;
-tree_of_cliques generalizes it to any tree of (k+c)-cliques overlapping in
-k vertices, which keeps the graph chordal with all minimal separators of
-size k. Both hit hub_edge_bound(k, p, c) edges on p*c + k vertices.
+tree_of_cliques glues (k+c)-cliques along a tree, each part sharing k
+vertices with its parent, which keeps the graph chordal with all minimal
+separators of size k; it has p*c + k vertices and hub_edge_bound(k, p, c)
+edges. star_construction, the hub K_k joined to p disjoint K_c's, is the
+tree whose parts all hang off the root's first k slots.
 """
 
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING
 
 from .chordal import chordality
 from .graphs import Graph, bits, cycle_graph, vertex_tuple
-
-if TYPE_CHECKING:
-    from .verify import FTParams
+from .verify import FTParams
 
 __all__ = [
     "star_construction",
@@ -36,82 +33,55 @@ def star_construction(k: int, p: int, c: int) -> Graph:
     Clique i occupies labels k + i*c .. k + (i+1)*c - 1. Any k deletions
     are outweighed inside each damaged clique by the surviving hub part.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    if c < 2:
-        raise ValueError(f"c must be >= 2, got {c}")
-    n = p * c + k
-    edges: list[tuple[int, int]] = list(combinations(range(k), 2))
-    for i in range(p):
-        block = range(k + i * c, k + (i + 1) * c)
-        edges.extend(combinations(block, 2))
-        edges.extend((h, v) for h in range(k) for v in block)
-    return Graph(n, edges)
+    return tree_of_cliques(k, c, TreeTemplate.star(p, k))
+
+
+Gluing = tuple[int, int, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
 class TreeTemplate:
     """Gluing plan for tree_of_cliques.
 
-    Parts are numbered 0..p-1 with part 0 the root; tree_edges lists
-    (parent, child) pairs; attachments maps each child to the k slot
-    indices (0..k+c-1) of its parent's clique it reuses. Within any part,
-    slots 0..k-1 are the inherited vertices (fresh for the root) and slots
-    k..k+c-1 are the c fresh vertices.
+    Parts are numbered 0..p-1 with part 0 the root. Each non-root part has
+    one gluing (parent, child, slots): the child reuses the k vertices at
+    the given slot indices (0..k+c-1) of its parent's clique. Within any
+    part, slots 0..k-1 are the inherited vertices (fresh for the root) and
+    slots k..k+c-1 are the c fresh vertices.
     """
 
     p: int
-    tree_edges: tuple[tuple[int, int], ...]
-    attachments: tuple[tuple[int, tuple[int, ...]], ...]
+    gluings: tuple[Gluing, ...]
 
-    def attachment_for(self, child: int) -> tuple[int, ...]:
-        for ch, slots in self.attachments:
-            if ch == child:
-                return slots
-        raise KeyError(child)
+    def validate(self, k: int, c: int) -> list[Gluing]:
+        """Raise ValueError unless this is a tree plan for (k, p, c).
 
-    def validate(self, k: int, c: int) -> None:
-        if self.p < 1:
-            raise ValueError(f"a template needs p >= 1 parts, got {self.p}")
-        if len(self.tree_edges) != self.p - 1:
-            raise ValueError(
-                f"a tree on {self.p} parts has {self.p - 1} edges, "
-                f"got {len(self.tree_edges)}"
-            )
-        seen_children: set[int] = set()
-        for parent, child in self.tree_edges:
-            if not (0 <= parent < self.p and 0 < child < self.p):
-                raise ValueError(f"tree edge ({parent}, {child}) out of range")
-            if child in seen_children:
-                raise ValueError(f"part {child} has two parents")
-            seen_children.add(child)
-        if seen_children != set(range(1, self.p)):
-            raise ValueError("every part except the root needs a parent")
-        # rootedness: all parts reachable from 0 following parent -> child
-        kids: dict[int, list[int]] = {}
-        for parent, child in self.tree_edges:
-            kids.setdefault(parent, []).append(child)
-        reached = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for ch in kids.get(u, ()):
-                reached.add(ch)
-                queue.append(ch)
-        if len(reached) != self.p:
-            raise ValueError("tree edges must orient every part away from the root")
-        attached = {ch for ch, _ in self.attachments}
-        if attached != set(range(1, self.p)):
-            raise ValueError("attachments must cover exactly the non-root parts")
-        for child, slots in self.attachments:
+        Returns the gluings breadth first from the root, each part's
+        children in ascending order: the order tree_of_cliques labels them.
+        """
+        FTParams(k, self.p, c)
+        p = self.p
+        glued = sorted(self.gluings, key=lambda g: g[1])
+        if [child for _, child, _ in glued] != list(range(1, p)):
+            raise ValueError(f"a template needs exactly one gluing for each part 1..{p - 1}")
+        kids: list[list[Gluing]] = [[] for _ in range(p)]
+        for gluing in glued:
+            parent, child, slots = gluing
+            if not 0 <= parent < p:
+                raise ValueError(f"part {child} has parent {parent} out of 0..{p - 1}")
             if len(slots) != k or len(set(slots)) != k:
                 raise ValueError(
                     f"part {child} must attach at exactly k = {k} distinct slots"
                 )
             if any(not (0 <= s < k + c) for s in slots):
                 raise ValueError(f"part {child} attachment slot out of 0..{k + c - 1}")
+            kids[parent].append(gluing)
+        order = list(kids[0])
+        for _, child, _ in order:  # also visits the gluings it appends
+            order.extend(kids[child])
+        if len(order) != p - 1:
+            raise ValueError("gluings must reach every part from the root")
+        return order
 
     @classmethod
     def path(cls, p: int, k: int, c: int, *, newest: bool = True) -> "TreeTemplate":
@@ -120,58 +90,33 @@ class TreeTemplate:
         if newest and k > c:
             raise ValueError("newest attachment needs k <= c")
         slots = tuple(range(c, c + k)) if newest else tuple(range(k))
-        return cls(
-            p=p,
-            tree_edges=tuple((i, i + 1) for i in range(p - 1)),
-            attachments=tuple((i + 1, slots) for i in range(p - 1)),
-        )
+        return cls(p, tuple((i, i + 1, slots) for i in range(p - 1)))
 
     @classmethod
     def star(cls, p: int, k: int, *, slots: tuple[int, ...] | None = None) -> "TreeTemplate":
         """All parts hang off the root, reusing the same k root slots."""
         if slots is None:
             slots = tuple(range(k))
-        return cls(
-            p=p,
-            tree_edges=tuple((0, i) for i in range(1, p)),
-            attachments=tuple((i, slots) for i in range(1, p)),
-        )
+        return cls(p, tuple((0, i, slots) for i in range(1, p)))
 
 
 def tree_of_cliques(k: int, c: int, template: TreeTemplate) -> Graph:
     """Glue (k+c)-cliques along a tree, children sharing k parent vertices.
 
-    Fresh labels are assigned root-first in breadth order, so the root part
-    is 0..k+c-1 and every later part adds c consecutive labels. The result
-    is chordal with all maximal cliques of size k+c and all minimal
-    separators of size k, has p*c + k vertices and hub_edge_bound(k, p, c)
-    edges.
+    Needs k >= 0, p >= 1 and c >= 2, as FTParams does. Fresh labels are
+    assigned root-first in breadth order, so the root part is 0..k+c-1 and
+    every later part adds c consecutive labels. The result is chordal with
+    all maximal cliques of size k+c and all minimal separators of size k,
+    has p*c + k vertices and hub_edge_bound(k, p, c) edges.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if c < 3:
-        raise ValueError(f"c must be >= 3, got {c}")
-    template.validate(k, c)
-    p = template.p
-    kids: dict[int, list[int]] = {}
-    for parent, child in template.tree_edges:
-        kids.setdefault(parent, []).append(child)
-
-    part_slots: dict[int, list[int]] = {0: list(range(k + c))}
-    next_label = k + c
-    edges: list[tuple[int, int]] = list(combinations(part_slots[0], 2))
-    queue = deque([0])
-    while queue:
-        parent = queue.popleft()
-        for child in sorted(kids.get(parent, ())):
-            inherited = [part_slots[parent][s] for s in template.attachment_for(child)]
-            fresh = list(range(next_label, next_label + c))
-            next_label += c
-            slots = inherited + fresh
-            part_slots[child] = slots
-            edges.extend(combinations(slots, 2))
-            queue.append(child)
-    return Graph(p * c + k, edges)
+    order = template.validate(k, c)
+    labels = {0: range(k + c)}
+    edges = list(combinations(labels[0], 2))
+    for i, (parent, child, slots) in enumerate(order, start=1):
+        fresh = range(k + i * c, k + (i + 1) * c)
+        labels[child] = [labels[parent][s] for s in slots] + list(fresh)
+        edges.extend(combinations(labels[child], 2))
+    return Graph(template.p * c + k, edges)
 
 
 def matches_gluing_profile(graph: Graph, k: int, c: int) -> bool:
@@ -189,7 +134,7 @@ def matches_gluing_profile(graph: Graph, k: int, c: int) -> bool:
     return all(len(adh) == k for _, _, adh in tree.tree_edges)
 
 
-def contract_neighborhood(graph: Graph, params: "FTParams", x: int) -> Graph:
+def contract_neighborhood(graph: Graph, params: FTParams, x: int) -> Graph:
     """Replace N[x] by a fresh K_k joined to N(N[x]), shrinking p by one.
 
     Requires the critical order p*c + k, degree(x) == c + k - 1, p >= 2,

@@ -290,8 +290,6 @@ def _iter_adjacencies(n: int, m: int, dmin: int, d0: int, after=None, tight=None
     itself, through `audit.tight_vertex_with_open_closure`, and so catches
     what (ii) leaves to the neighbors of w that become final after it.
     """
-    if not dmin <= d0 <= n - 1:
-        return
     # Skipping slot (u, v) leaves u the later slots (u, w), w > v: n-1-v
     # of them; and v the later (x, v), u < x < v, and (v, w), w > v: n-2-u.
     # Each slot carries the degrees its endpoints need to allow the skip.

@@ -250,9 +250,7 @@ def test_contraction_reduces_packing_count():
             family = [star_construction(1, p, c)]
             family.extend(tree_of_cliques(1, c, t) for t in _templates(p, 1, c))
             if p == 3:
-                branched = TreeTemplate(
-                    3, ((0, 1), (0, 2)), ((1, (c,)), (2, (0,)))
-                )
+                branched = TreeTemplate(3, ((0, 1, (c,)), (0, 2, (0,))))
                 family.append(tree_of_cliques(1, c, branched))
             smaller = FTParams(1, p - 1, c)
             for g in family:

@@ -104,10 +104,22 @@ def test_construct_tree_from_template(tmp_path, capsys):
     assert first == "10 18"
 
     bad = tmp_path / "bad.txt"
-    bad.write_text("3 1 3\n0 1 3\n")
-    code, _, err = run(capsys, "construct", "tree", "--template", str(bad))
-    assert code == 2
-    assert "error" in json.loads(err)
+    for text in [
+        "3 1 3\n0 1 3\n",  # part 2 has no gluing line
+        "",
+        "3 1\n",
+        "a b c\n",
+        "2 1 3\n0 1\n",  # k = 1 wants one slot
+        "2 1 3\n0 x 3\n",
+        "3 1 3\n0 1 0\n0 1 0\n",  # part 1 has two parents
+        "3 1 3\n0 1 0\n0 5 0\n",  # part 5 >= p
+        "3 1 3\n2 1 0\n1 2 0\n",  # a cycle among non-root parts
+        "2 1 3\n0 1 9\n",  # slot out of 0..3
+    ]:
+        bad.write_text(text)
+        code, _, err = run(capsys, "construct", "tree", "--template", str(bad))
+        assert code == 2, text
+        assert "error" in json.loads(err), text
 
 
 def test_construct_other_kinds(capsys):

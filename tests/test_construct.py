@@ -1,5 +1,6 @@
 """Constructions: hub stars, glued clique trees, contraction, c = 2 families."""
 
+import hashlib
 import warnings
 
 import pytest
@@ -12,6 +13,7 @@ from ftclique import (
     complete_graph,
     contract_neighborhood,
     cycle_graph,
+    emit_edge_list,
     harary,
     hub_edge_bound,
     matches_gluing_profile,
@@ -49,17 +51,45 @@ def test_star_parameter_validation():
 
 def test_tree_template_validation():
     with pytest.raises(ValueError):
-        TreeTemplate(3, ((0, 1),), ((1, (0,)),)).validate(1, 3)  # missing edge
+        TreeTemplate(3, ((0, 1, (0,)),)).validate(1, 3)  # missing edge
     with pytest.raises(ValueError):
-        TreeTemplate(3, ((0, 1), (0, 1)), ((1, (0,)), (2, (0,)))).validate(1, 3)
+        TreeTemplate(3, ((0, 1, (0,)), (0, 1, (0,)))).validate(1, 3)
     with pytest.raises(ValueError):
-        TreeTemplate(2, ((0, 1),), ((1, (9,)),)).validate(1, 3)  # slot range
+        TreeTemplate(2, ((0, 1, (9,)),)).validate(1, 3)  # slot range
     with pytest.raises(ValueError):
-        TreeTemplate(2, ((0, 1),), ((1, (0, 0)),)).validate(2, 3)  # repeats
+        TreeTemplate(2, ((0, 1, (0, 0)),)).validate(2, 3)  # repeats
     with pytest.raises(ValueError):
         TreeTemplate.path(3, 4, 3)  # newest attachment needs k <= c
     TreeTemplate.path(3, 2, 3).validate(2, 3)
     TreeTemplate.star(4, 1).validate(1, 3)
+
+
+def test_construction_labels_are_pinned():
+    # benchmark inputs are byte-identical across commits only while every
+    # construction keeps its labels, so the emitted edge lists are pinned
+    digest, count = hashlib.sha256(), 0
+    for k in range(4):
+        for p in range(1, 6):
+            for c in range(2, 6):
+                digest.update(emit_edge_list(star_construction(k, p, c)).encode())
+                count += 1
+    for k in range(1, 4):
+        for p in range(1, 6):
+            for c in range(3, 6):
+                for t in (TreeTemplate.path(p, k, c, newest=False),
+                          TreeTemplate.star(p, k),
+                          TreeTemplate.star(p, k, slots=tuple(range(c, c + k))),
+                          TreeTemplate.path(p, k, c)):
+                    digest.update(emit_edge_list(tree_of_cliques(k, c, t)).encode())
+                    count += 1
+    assert count == 260
+    assert digest.hexdigest() == \
+        "78cf79286560211e247b7d22096ea843ec3836a07170ff98c8ab4fa029999a25"
+    # paths and stars cannot tell the labeling order apart: parts take fresh
+    # labels breadth first, siblings in ascending part number
+    g = tree_of_cliques(1, 3, TreeTemplate(4, ((0, 1, (0,)), (0, 2, (3,)), (1, 3, (3,)))))
+    assert g.is_clique((0, 4, 5, 6)) and g.is_clique((3, 7, 8, 9))
+    assert g.is_clique((6, 10, 11, 12))
 
 
 def test_tree_of_cliques_shapes():
@@ -86,8 +116,7 @@ def test_tree_and_star_templates_give_distinct_graphs():
 
 
 def test_branched_template():
-    template = TreeTemplate(4, ((0, 1), (0, 2), (1, 3)),
-                            ((1, (0, 1)), (2, (3, 4)), (3, (2, 4))))
+    template = TreeTemplate(4, ((0, 1, (0, 1)), (0, 2, (3, 4)), (1, 3, (2, 4))))
     g = tree_of_cliques(2, 3, template)
     assert g.n == 14 and g.edge_count == hub_edge_bound(2, 4, 3)
     assert matches_gluing_profile(g, 2, 3)

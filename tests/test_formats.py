@@ -49,6 +49,10 @@ def test_edge_list_strictness():
         parse_edge_list("3 1\n0 1 2\n")  # wrong token count
     with pytest.raises(ValueError):
         parse_edge_list("-3 0\n")
+    with pytest.raises(ValueError):
+        parse_edge_list("a 1\n0 1\n")  # header not integers
+    with pytest.raises(ValueError):
+        parse_edge_list("3 1\n0 x\n")  # edge not integers
 
 
 def test_graph6_known_encodings():
@@ -98,6 +102,12 @@ def test_graph6_strictness():
         parse_graph6("D~\x19")  # byte below 63
     with pytest.raises(ValueError):
         parse_graph6("D~{\nD~{")  # two records
+    with pytest.raises(ValueError):
+        parse_graph6(b"\xff")  # not ASCII
+    with pytest.raises(ValueError):
+        parse_graph6("~??")  # long-form order truncated
+    with pytest.raises(ValueError):
+        parse_graph6("~???")  # long form for an order below 63
     # nonzero padding bits
     with pytest.raises(ValueError):
         parse_graph6("A?~")
@@ -149,5 +159,9 @@ def test_detect_and_generic_entry_points():
     assert parse_graph(as_g6, "graph6") == g
     with pytest.raises(ValueError):
         parse_graph(as_g6, "edge-list")
+    with pytest.raises(ValueError):
+        detect_format("  \n")
+    with pytest.raises(ValueError):
+        parse_graph(as_g6, "dot")
     with pytest.raises(ValueError):
         emit_graph(g, "dot")
