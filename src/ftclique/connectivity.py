@@ -1,9 +1,9 @@
 """Components and exact vertex / edge connectivity.
 
 Both connectivity numbers come from one unit-capacity max flow on bitmask
-arcs (`_max_flow`), which augments along the shortest residual paths that
-`shortest_path` finds; chordality reuses the same BFS for its chordless
-cycles.
+arcs (`_max_flow`), which augments along shortest residual paths that a
+layered BFS over masks finds (`_augmenting_path`). `shortest_path` is the
+plain BFS that chordality uses for its chordless cycles.
 """
 
 from collections import deque
@@ -80,6 +80,46 @@ def shortest_path(adj: Sequence[int], start: int, goal: int, allowed: int) -> li
     return None
 
 
+def _augmenting_path(arcs: list[int], flow: list[int], back: list[int],
+                     source: int, sink: int) -> list[int] | None:
+    """Shortest source-sink path in the residual graph of `_max_flow`, or None.
+
+    A layered BFS over masks: each layer is the OR of the residual rows
+    (arcs[u] & ~flow[u]) | back[u] of the previous layer's vertices, minus
+    the vertices already seen; the layer that reaches the sink stops there.
+    The path is walked back from the sink, each step to the least vertex
+    of the previous layer with an arc to it.
+    """
+    layers = []
+    frontier = seen = 1 << source
+    goal = 1 << sink
+    while not frontier & goal:
+        layers.append(frontier)
+        reach = 0
+        while frontier and not reach & goal:
+            low = frontier & -frontier
+            u = low.bit_length() - 1
+            reach |= (arcs[u] & ~flow[u]) | back[u]
+            frontier ^= low
+        frontier = reach & ~seen
+        if not frontier:
+            return None
+        seen |= frontier
+    path = [sink]
+    v = sink
+    for layer in reversed(layers):
+        while True:
+            low = layer & -layer
+            u = low.bit_length() - 1
+            if ((arcs[u] & ~flow[u]) | back[u]) >> v & 1:
+                break
+            layer ^= low
+        path.append(u)
+        v = u
+    path.reverse()
+    return path
+
+
 def _max_flow(arcs: list[int], source: int, sink: int, limit: int | None = None) -> int:
     """Unit-capacity max flow by shortest augmenting paths on bitmask arcs.
 
@@ -93,11 +133,9 @@ def _max_flow(arcs: list[int], source: int, sink: int, limit: int | None = None)
     size = len(arcs)
     flow = [0] * size
     back = [0] * size
-    every = (1 << size) - 1
     value = 0
     while limit is None or value < limit:
-        residual = [(a & ~f) | b for a, f, b in zip(arcs, flow, back)]
-        path = shortest_path(residual, source, sink, every)
+        path = _augmenting_path(arcs, flow, back, source, sink)
         if path is None:
             break
         for u, v in zip(path, path[1:]):
@@ -135,9 +173,12 @@ def vertex_connectivity(graph: Graph) -> int:
     ones. Each vertex v splits into an in-node v with one unit arc to an
     out-node v + n, whose arcs go to the in-nodes of v's neighbors; the
     flow from s + n to a non-neighbor t counts internally disjoint s-t
-    paths. By Menger it suffices to scan s over a minimum-degree vertex
-    and its neighbors (Even's source set, S. Even, SIAM J. Comput. 4,
-    1975): a minimum separator misses at least one vertex of that set.
+    paths. With v0 of minimum degree it suffices to take the flows from
+    v0 to its non-neighbors and between the non-adjacent pairs of N(v0)
+    (A. H. Esfahanian and S. L. Hakimi, "On computing the connectivities
+    of graphs and digraphs", Networks 14, 1984): a minimum separator that
+    misses v0 splits it from a non-neighbor, and one that contains v0
+    misses two non-adjacent neighbors of v0 in different components.
     Each flow stops at the best value so far, which starts at the minimum
     degree.
     """
@@ -148,9 +189,11 @@ def vertex_connectivity(graph: Graph) -> int:
     arcs = [1 << (v + n) for v in range(n)] + list(adj)
     v0 = min(range(n), key=lambda v: adj[v].bit_count())
     best = adj[v0].bit_count()
-    for s in (v0, *bits(adj[v0])):
-        for t in bits(graph.full_mask & ~adj[s] & ~(1 << s)):
-            best = _max_flow(arcs, s + n, t, best)
+    for t in bits(graph.full_mask & ~adj[v0] & ~(1 << v0)):
+        best = _max_flow(arcs, v0 + n, t, best)
+    for x in bits(adj[v0]):
+        for y in bits(adj[v0] & ~adj[x] & ~((2 << x) - 1)):
+            best = _max_flow(arcs, x + n, y, best)
     return best
 
 

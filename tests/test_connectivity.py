@@ -73,9 +73,9 @@ def test_hub_family_reaches_the_degree_floor():
 
 def test_matches_bruteforce_on_random_graphs():
     rng = random.Random(5150)
-    graphs = [complete_graph(n) for n in range(1, 7)]
+    graphs = [complete_graph(n) for n in range(1, 10)]
     for _ in range(60):
-        n = rng.randint(2, 7)
+        n = rng.randint(2, 9)
         graphs.append(random_graph(rng, n, rng.choice([0.25, 0.5, 0.75])))
     for _ in range(15):
         a = random_graph(rng, rng.randint(1, 4), rng.choice([0.5, 1.0]))
@@ -104,26 +104,52 @@ def test_flows_stop_at_the_best_value_so_far(monkeypatch):
     # path(2,6,4): kappa = 2, lambda = minimum degree = 5
     module = importlib.import_module("ftclique.connectivity")
     rounds = []
+    flows = []
 
-    def counting(*args):
+    def counting_rounds(*args):
         rounds.append(args)
-        return shortest_path(*args)
+        return augmenting_path(*args)
 
-    shortest_path = module.shortest_path
-    monkeypatch.setattr(module, "shortest_path", counting)
+    def counting_flows(*args):
+        flows.append(args)
+        return max_flow(*args)
+
+    augmenting_path = module._augmenting_path
+    max_flow = module._max_flow
+    monkeypatch.setattr(module, "_augmenting_path", counting_rounds)
+    monkeypatch.setattr(module, "_max_flow", counting_flows)
     g = tree_of_cliques(2, 4, TreeTemplate.path(6, 2, 4))
     delta = min(g.degrees())
     assert edge_connectivity(g) == delta == 5
     # every flow from 0 stops at delta without a failing search
     assert len(rounds) == delta * (g.n - 1)
     rounds.clear()
+    flows.clear()
     assert vertex_connectivity(g) == 2
     v0 = g.degrees().index(delta)
-    pairs = sum(len(list(bits(g.full_mask & ~g.adj[s] & ~(1 << s))))
-                for s in (v0, *bits(g.adj[v0])))
+    neighbors = list(bits(g.adj[v0]))
+    # Esfahanian-Hakimi: v0 to each non-neighbor, then each non-adjacent
+    # pair of N(v0)
+    pairs = (g.n - delta - 1) + sum(not g.has_edge(x, y)
+                                    for i, x in enumerate(neighbors)
+                                    for y in neighbors[i + 1:])
+    assert len(flows) == pairs == 20
     # once the best is 2 a pair costs at most 2 rounds; a flow run to its
     # maximum 2 costs 3, one of them the search that finds no path
     assert len(rounds) <= 2 * pairs + delta + 1 < 3 * pairs
+
+
+def test_minimum_degree_vertex_in_every_minimum_separator():
+    # Vertex 0 is joined by two edges to each of two K_6, so {0} is the
+    # only minimum separator. Every flow from 0 to a non-neighbor is 2;
+    # only the flow between neighbors of 0 in different K_6 finds 1.
+    edges = [(0, 1), (0, 2), (0, 7), (0, 8)]
+    for base in (1, 7):
+        edges += [(base + i, base + j) for i in range(6) for j in range(i + 1, 6)]
+    g = Graph(13, edges)
+    assert min(g.degrees()) == g.adj[0].bit_count() == 4
+    assert vertex_connectivity(g) == vertex_connectivity_bruteforce(g) == 1
+    assert nx.node_connectivity(nx.Graph(g.edges())) == 1
 
 
 def test_limited_flow_is_the_capped_max_flow():
