@@ -1,7 +1,17 @@
-"""Blocks (maximal 2-connected subgraphs), cutvertices, block-cut tree."""
+"""Blocks (maximal 2-connected subgraphs), cutvertices, block-cut tree.
+
+The blocks come from splitting at cutvertices. The pieces start as the
+components, and each vertex w is tried once, in the one piece that holds
+it: when deleting w disconnects the piece, the piece is replaced by each
+component of the piece minus w, plus w. Each such part holds exactly one
+block through w, so w never splits a part again, while every other
+cutvertex of the piece stays a cutvertex of its part. The pieces that no
+vertex splits are the blocks.
+"""
 
 from dataclasses import dataclass
 
+from .connectivity import component_masks
 from .graphs import Graph, bits, vertex_tuple
 
 __all__ = ["BlockDecomposition", "blocks"]
@@ -20,77 +30,51 @@ class BlockDecomposition:
     tree_edges: tuple[tuple[int, int], ...]
 
 
+def _splits(adj: tuple[int, ...], piece: int, w: int) -> bool:
+    """Whether deleting w disconnects the connected piece (a vertex mask).
+
+    Searches the piece minus w from one neighbor of w and stops once it
+    has reached all of w's other neighbors there.
+    """
+    rest = piece & ~(1 << w)
+    targets = adj[w] & rest
+    reach = frontier = targets & -targets
+    while frontier and targets & ~reach:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & rest & ~reach
+        reach |= frontier
+    return bool(targets & ~reach)
+
+
 def blocks(graph: Graph) -> BlockDecomposition:
-    """Depth-first block decomposition (iterative, edge-stack variant).
+    """Block decomposition by splitting each piece at its cutvertices.
 
     A bridge is a 2-vertex block; an isolated vertex is its own block.
     Every edge lands in exactly one block; blocks pairwise share at most one
-    vertex, and every shared vertex is a cutvertex.
+    vertex, and every shared vertex is a cutvertex. `component_masks` runs
+    once for the components and once per cutvertex.
     """
-    n = graph.n
-    nbr = [list(bits(a)) for a in graph.adj]
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    is_cut = [False] * n
-    out_masks: list[int] = []
-    timer = 0
+    adj = graph.adj
+    pending = component_masks(adj, graph.full_mask)
+    found = []
+    tried = cuts = 0
+    while pending:
+        piece = pending.pop()
+        for w in bits(piece & ~tried):
+            tried |= 1 << w
+            if _splits(adj, piece, w):
+                cuts |= 1 << w
+                pending += [part | 1 << w for part in component_masks(adj, piece & ~(1 << w))]
+                break
+        else:
+            found.append(piece)
 
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        if not nbr[root]:
-            disc[root] = timer
-            timer += 1
-            out_masks.append(1 << root)
-            continue
-        root_children = 0
-        disc[root] = low[root] = timer
-        timer += 1
-        edge_stack: list[tuple[int, int]] = []
-        stack = [(root, iter(nbr[root]))]
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for v in it:
-                if disc[v] == -1:
-                    parent[v] = u
-                    if u == root:
-                        root_children += 1
-                    edge_stack.append((u, v))
-                    disc[v] = low[v] = timer
-                    timer += 1
-                    stack.append((v, iter(nbr[v])))
-                    advanced = True
-                    break
-                if v != parent[u] and disc[v] < disc[u]:
-                    edge_stack.append((u, v))
-                    if disc[v] < low[u]:
-                        low[u] = disc[v]
-            if advanced:
-                continue
-            stack.pop()
-            if not stack:
-                continue
-            pu = stack[-1][0]
-            if low[u] < low[pu]:
-                low[pu] = low[u]
-            if low[u] >= disc[pu]:
-                comp = 0
-                while True:
-                    a, b = edge_stack.pop()
-                    comp |= (1 << a) | (1 << b)
-                    if (a, b) == (pu, u):
-                        break
-                out_masks.append(comp)
-                if pu != root:
-                    is_cut[pu] = True
-        if root_children >= 2:
-            is_cut[root] = True
-
-    block_sets = sorted(vertex_tuple(m) for m in out_masks)
-    cuts = tuple(v for v in range(n) if is_cut[v])
+    block_sets = sorted(vertex_tuple(m) for m in found)
     tree_edges = tuple(
-        (bi, v) for bi, bl in enumerate(block_sets) for v in bl if is_cut[v]
+        (bi, v) for bi, bl in enumerate(block_sets) for v in bl if cuts >> v & 1
     )
-    return BlockDecomposition(tuple(block_sets), cuts, tree_edges)
+    return BlockDecomposition(tuple(block_sets), vertex_tuple(cuts), tree_edges)

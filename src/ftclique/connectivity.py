@@ -152,17 +152,33 @@ def _max_flow(arcs: list[int], source: int, sink: int, limit: int | None = None)
 def edge_connectivity(graph: Graph) -> int:
     """Minimum number of edges whose deletion disconnects the graph.
 
-    0 for disconnected or trivial graphs. Computed as the minimum over all
-    targets t of the max flow from vertex 0, with each edge an arc of
-    capacity 1 in both directions; a t in another component gets flow 0.
-    Each flow stops at the best value so far, which starts at the minimum
-    degree (Whitney: vertex <= edge connectivity <= minimum degree).
+    0 for disconnected or trivial graphs. Each edge is an arc of capacity
+    1 in both directions. D is a greedy maximal independent set (scan the
+    vertices, take each one that no taken vertex covers), so D dominates
+    the graph, and the answer is the minimum degree or the least max flow
+    from D's first vertex to another vertex of D, whichever is smaller
+    (D. W. Matula, "Determining edge connectivity in O(nm)", FOCS 1987).
+    A cut with fewer edges than the minimum degree delta has more than
+    delta vertices on each side, since s <= delta vertices of minimum
+    degree delta send at least s(delta - s + 1) >= delta edges out of
+    their side. So each side holds a vertex with no cut edge, whose closed
+    neighborhood stays on its side and meets D. Each flow stops at the
+    best value so far, which starts at delta (Whitney: vertex <= edge
+    connectivity <= minimum degree); a vertex of D in another component
+    gets flow 0.
     """
     if graph.n <= 1:
         return 0
+    adj = graph.adj
+    dominating = []
+    covered = 0
+    for v in range(graph.n):
+        if not covered >> v & 1:
+            dominating.append(v)
+            covered |= adj[v] | 1 << v
     best = min(graph.degrees())
-    for t in range(1, graph.n):
-        best = _max_flow(graph.adj, 0, t, best)
+    for t in dominating[1:]:
+        best = _max_flow(adj, dominating[0], t, best)
     return best
 
 

@@ -1,15 +1,22 @@
 """Block decomposition (maximal 2-connected pieces, bridges, cutvertices)."""
 
+import importlib
 import random
 
+import networkx as nx
+
 from ftclique import (
+    TreeTemplate,
     blocks,
     complete_graph,
+    components,
     cycle_graph,
     disjoint_union,
     empty_graph,
     path_graph,
+    relabeled,
     star_construction,
+    tree_of_cliques,
 )
 from helpers import random_graph
 
@@ -81,11 +88,57 @@ def test_blocks_partition_edges_and_overlap_only_at_cutvertices():
 
 def test_cutvertex_removal_disconnects_component():
     rng = random.Random(99)
-    from ftclique import components
-
     for _ in range(40):
         g = random_graph(rng, rng.randint(2, 8), 0.3)
         before = len(components(g))
         for v in blocks(g).cutvertices:
             rest, _ = g.remove_vertices([v])
             assert len(components(rest)) > before
+
+
+def _networkx_blocks(g):
+    nxg = nx.Graph(g.edges())
+    nxg.add_nodes_from(range(g.n))
+    found = [tuple(sorted(c)) for c in nx.biconnected_components(nxg)]
+    found += [(v,) for v in range(g.n) if g.adj[v] == 0]
+    return tuple(sorted(found)), tuple(sorted(nx.articulation_points(nxg)))
+
+
+def test_blocks_match_networkx():
+    rng = random.Random(2020)
+    graphs = [random_graph(rng, rng.randint(0, 16), rng.choice([0.05, 0.1, 0.2, 0.35, 0.6]))
+              for _ in range(300)]
+    for g in (star_construction(1, 3, 3),
+              tree_of_cliques(1, 3, TreeTemplate.path(12, 1, 3)),
+              tree_of_cliques(2, 4, TreeTemplate.path(6, 2, 4))):
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            graphs.append(relabeled(g, perm))
+    shapes = {"bridge": 0, "isolated": 0, "disconnected": 0}
+    for g in graphs:
+        dec = blocks(g)
+        assert (dec.blocks, dec.cutvertices) == _networkx_blocks(g)
+        shapes["bridge"] += any(len(b) == 2 for b in dec.blocks)
+        shapes["isolated"] += any(len(b) == 1 for b in dec.blocks)
+        shapes["disconnected"] += len(components(g)) > 1
+    assert min(shapes.values()) >= 20, shapes
+
+
+def test_component_masks_runs_once_plus_once_per_cutvertex(monkeypatch):
+    # `import ftclique.blocks` would bind the re-exported function
+    module = importlib.import_module("ftclique.blocks")
+    calls = []
+    component_masks = module.component_masks
+
+    def counting(*args):
+        calls.append(args)
+        return component_masks(*args)
+
+    monkeypatch.setattr(module, "component_masks", counting)
+    chain = tree_of_cliques(1, 3, TreeTemplate.path(12, 1, 3))
+    assert len(blocks(chain).cutvertices) == 11
+    assert len(calls) == 1 + 11
+    calls.clear()
+    assert blocks(tree_of_cliques(2, 4, TreeTemplate.path(6, 2, 4))).cutvertices == ()
+    assert len(calls) == 1

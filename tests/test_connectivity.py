@@ -121,8 +121,10 @@ def test_flows_stop_at_the_best_value_so_far(monkeypatch):
     g = tree_of_cliques(2, 4, TreeTemplate.path(6, 2, 4))
     delta = min(g.degrees())
     assert edge_connectivity(g) == delta == 5
-    # every flow from 0 stops at delta without a failing search
-    assert len(rounds) == delta * (g.n - 1)
+    # the greedy dominating set is 0 and the first fresh vertex of each
+    # later clique; every flow from 0 stops at delta without a failing search
+    assert [args[1:3] for args in flows] == [(0, t) for t in (6, 10, 14, 18, 22)]
+    assert len(rounds) == delta * len(flows)
     rounds.clear()
     flows.clear()
     assert vertex_connectivity(g) == 2
@@ -137,6 +139,10 @@ def test_flows_stop_at_the_best_value_so_far(monkeypatch):
     # once the best is 2 a pair costs at most 2 rounds; a flow run to its
     # maximum 2 costs 3, one of them the search that finds no path
     assert len(rounds) <= 2 * pairs + delta + 1 < 3 * pairs
+    flows.clear()
+    # the hub vertex 0 of star(2,12,3) dominates, so no flow runs
+    assert edge_connectivity(star_construction(2, 12, 3)) == 4
+    assert flows == []
 
 
 def test_minimum_degree_vertex_in_every_minimum_separator():
@@ -196,6 +202,29 @@ def test_constructions_match_networkx():
         nxg = nx.Graph(shuffled.edges())
         assert vertex_connectivity(shuffled) == nx.node_connectivity(nxg)
         assert edge_connectivity(shuffled) == nx.edge_connectivity(nxg)
+
+
+def test_thin_cuts_between_dense_halves_match_networkx():
+    # Two dense halves joined by a few edges have lambda below the minimum
+    # degree, the case where the flows must reach a dominating vertex on
+    # the far side of the cut.
+    rng = random.Random(31)
+    below = 0
+    for _ in range(60):
+        a = random_graph(rng, rng.randint(5, 9), 0.8)
+        b = random_graph(rng, rng.randint(5, 9), 0.8)
+        g = disjoint_union(a, b)
+        links = [(rng.randrange(a.n), a.n + rng.randrange(b.n)) for _ in range(rng.randint(1, 3))]
+        g = Graph(g.n, list(g.edges()) + links)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        g = relabeled(g, perm)
+        nxg = nx.Graph(g.edges())
+        nxg.add_nodes_from(range(g.n))
+        lam = nx.edge_connectivity(nxg)
+        assert edge_connectivity(g) == lam
+        below += lam < min(g.degrees())
+    assert below >= 30
 
 
 def test_whitney_inequalities():
