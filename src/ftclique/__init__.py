@@ -40,7 +40,6 @@ from .construct import (
     c2_even_k_construction,
     contract_neighborhood,
     harary,
-    matches_gluing_profile,
     odd_cycle,
     star_construction,
     tree_of_cliques,
@@ -75,10 +74,8 @@ from .search import Budget, SearchReport, SearchResume, probe_conjecture, search
 from .verify import (
     FTParams,
     FTVerdict,
-    MinimumCandidacy,
     degree_floor,
     hub_edge_bound,
-    is_minimum_candidate,
     verify_ft,
     verify_ft_oracle,
 )
@@ -98,7 +95,6 @@ __all__ = [
     "FTParams",
     "FTVerdict",
     "Graph",
-    "MinimumCandidacy",
     "OracleBudgetError",
     "RecognitionResult",
     "SearchReport",
@@ -133,9 +129,7 @@ __all__ = [
     "has_clique_containing",
     "hub_edge_bound",
     "is_connected",
-    "is_minimum_candidate",
     "is_valid_packing",
-    "matches_gluing_profile",
     "odd_cycle",
     "oracle_packing_exists",
     "parse_edge_list",

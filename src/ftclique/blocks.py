@@ -30,11 +30,13 @@ class BlockDecomposition:
     tree_edges: tuple[tuple[int, int], ...]
 
 
-def _splits(adj: tuple[int, ...], piece: int, w: int) -> bool:
-    """Whether deleting w disconnects the connected piece (a vertex mask).
+def _splits(adj: tuple[int, ...], piece: int, w: int) -> int:
+    """The component of the connected piece (a vertex mask) minus w that
+    holds one neighbor of w, when deleting w disconnects the piece; else 0.
 
     Searches the piece minus w from one neighbor of w and stops once it
-    has reached all of w's other neighbors there.
+    has reached all of w's other neighbors there. On a split it never
+    reaches them, so it runs until it has reached its whole component.
     """
     rest = piece & ~(1 << w)
     targets = adj[w] & rest
@@ -47,7 +49,7 @@ def _splits(adj: tuple[int, ...], piece: int, w: int) -> bool:
             frontier ^= low
         frontier = nxt & rest & ~reach
         reach |= frontier
-    return bool(targets & ~reach)
+    return reach if targets & ~reach else 0
 
 
 def blocks(graph: Graph) -> BlockDecomposition:
@@ -56,7 +58,8 @@ def blocks(graph: Graph) -> BlockDecomposition:
     A bridge is a 2-vertex block; an isolated vertex is its own block.
     Every edge lands in exactly one block; blocks pairwise share at most one
     vertex, and every shared vertex is a cutvertex. `component_masks` runs
-    once for the components and once per cutvertex.
+    once for the components and once per cutvertex, on what the split
+    search did not reach.
     """
     adj = graph.adj
     pending = component_masks(adj, graph.full_mask)
@@ -66,9 +69,11 @@ def blocks(graph: Graph) -> BlockDecomposition:
         piece = pending.pop()
         for w in bits(piece & ~tried):
             tried |= 1 << w
-            if _splits(adj, piece, w):
+            reach = _splits(adj, piece, w)
+            if reach:
                 cuts |= 1 << w
-                pending += [part | 1 << w for part in component_masks(adj, piece & ~(1 << w))]
+                parts = [reach, *component_masks(adj, piece & ~reach & ~(1 << w))]
+                pending += [part | 1 << w for part in parts]
                 break
         else:
             found.append(piece)

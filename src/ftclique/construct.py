@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass
 from itertools import combinations
 
-from .chordal import chordality
 from .graphs import Graph, bits, cycle_graph, vertex_tuple
 from .verify import FTParams
 
@@ -19,7 +18,6 @@ __all__ = [
     "star_construction",
     "TreeTemplate",
     "tree_of_cliques",
-    "matches_gluing_profile",
     "contract_neighborhood",
     "odd_cycle",
     "harary",
@@ -117,21 +115,6 @@ def tree_of_cliques(k: int, c: int, template: TreeTemplate) -> Graph:
         labels[child] = [labels[parent][s] for s in slots] + list(fresh)
         edges.extend(combinations(labels[child], 2))
     return Graph(template.p * c + k, edges)
-
-
-def matches_gluing_profile(graph: Graph, k: int, c: int) -> bool:
-    """True iff the graph is chordal with every maximal clique of size k+c
-    and every minimal separator of size k (the shape tree_of_cliques emits,
-    which is accepted for (k, p, c) with p = (n - k) / c)."""
-    if (graph.n - k) % c != 0 or graph.n < k + c:
-        return False
-    result = chordality(graph)
-    if not result.is_chordal:
-        return False
-    tree = result.clique_tree
-    if any(len(part) != k + c for part in tree.parts):
-        return False
-    return all(len(adh) == k for _, _, adh in tree.tree_edges)
 
 
 def contract_neighborhood(graph: Graph, params: FTParams, x: int) -> Graph:

@@ -22,8 +22,6 @@ __all__ = [
     "hub_edge_bound",
     "verify_ft",
     "verify_ft_oracle",
-    "MinimumCandidacy",
-    "is_minimum_candidate",
 ]
 
 _PARALLEL_THRESHOLD = 256
@@ -90,6 +88,31 @@ def vertex_below_floor(graph: Graph, floor: int) -> int | None:
     return next((v for v, d in enumerate(graph.degrees()) if d < floor), None)
 
 
+def _carry(adj: tuple[int, ...], cliques: list[int], before: int,
+           allowed: int) -> bool:
+    """Carry a packing found inside the mask `before` over to `allowed`.
+
+    before and allowed are the survivors of two deletion sets of one size,
+    so as many vertices came back as left. cliques holds the packing's
+    c-cliques as vertex masks. True when no clique meets the vertices that
+    left, or when one vertex left and the one vertex y that came back is
+    adjacent to the rest of the clique that lost it, and takes its place
+    (y lay outside `before`, so in no clique); cliques then holds a packing
+    inside `allowed`. False, with cliques unchanged, otherwise, and always
+    for an empty list.
+    """
+    gone = before & ~allowed
+    back = allowed & ~before
+    for i, clique in enumerate(cliques):
+        if clique & gone:
+            rest = clique & ~gone
+            if gone & (gone - 1) or rest & ~adj[back.bit_length() - 1]:
+                return False
+            cliques[i] = rest | back
+            return True
+    return bool(cliques)
+
+
 def _scan(graph: Graph, k: int, p: int, c: int, start: int, step: int,
           max_witnesses: int, stop=None) -> tuple[
               int | None, tuple[int, ...] | None,
@@ -101,6 +124,14 @@ def _scan(graph: Graph, k: int, p: int, c: int, start: int, step: int,
     for surviving ranks below max_witnesses. Each packing is searched on the
     original labels inside the mask of survivors.
 
+    From rank max_witnesses on, the last packing is carried to the next
+    subset when `_carry` can mend it: subsets next to each other in lex
+    order mostly differ in one vertex, so the packing survives as it is or
+    with that one vertex swapped, and any p disjoint c-cliques among the
+    survivors prove a rank. The packer runs only where the carry fails.
+    A witness must be the lex-first packing the reference gives, so the
+    ranks below max_witnesses always run the packer.
+
     stop, when given, is a value shared by the workers of one scan: the
     least failing rank found so far, C(n, k) at first. The scan ends before
     a rank at or past it and lowers it to its own failing rank. Every value
@@ -108,18 +139,25 @@ def _scan(graph: Graph, k: int, p: int, c: int, start: int, step: int,
     ends scans later; no rank below the least failing one is ever skipped.
     """
     full = graph.full_mask
+    adj = graph.adj
     witnesses: list[tuple[int, tuple[int, ...], CliquePacking]] = []
+    cliques: list[int] = []
+    before = 0
     subsets = islice(combinations(range(graph.n), k), start, None, step)
     for rank, subset in zip(count(start, step), subsets):
         if stop is not None and rank >= stop.value:
             break
-        packing = find_disjoint_cliques(graph, p, c, full & ~mask_of(subset))
-        if packing is None:
-            if stop is not None and rank < stop.value:
-                stop.value = rank
-            return rank, subset, witnesses
-        if rank < max_witnesses:
-            witnesses.append((rank, subset, packing))
+        allowed = full & ~mask_of(subset)
+        if rank < max_witnesses or not _carry(adj, cliques, before, allowed):
+            packing = find_disjoint_cliques(graph, p, c, allowed)
+            if packing is None:
+                if stop is not None and rank < stop.value:
+                    stop.value = rank
+                return rank, subset, witnesses
+            if rank < max_witnesses:
+                witnesses.append((rank, subset, packing))
+            cliques = [mask_of(clique) for clique in packing.cliques]
+        before = allowed
     return None, None, witnesses
 
 
@@ -266,44 +304,3 @@ def verify_ft_oracle(graph: Graph, params: FTParams) -> FTVerdict:
             return FTVerdict(False, subset, rank + 1, None, None)
         rank += 1
     return FTVerdict(True, None, rank, None, None)
-
-
-@dataclass(frozen=True)
-class MinimumCandidacy:
-    """Truthiness: the graph has the critical order, is accepted, and meets
-    the best known edge bound. proven_minimum marks the regimes where that
-    bound is known to be exact (k <= 1, or p == 1 where the degree floor
-    forces a complete graph)."""
-
-    is_candidate: bool
-    order_ok: bool
-    holds: bool
-    edge_count: int
-    bound: int
-    proven_minimum: bool
-    note: str
-
-    def __bool__(self) -> bool:
-        return self.is_candidate
-
-
-def is_minimum_candidate(graph: Graph, params: FTParams) -> MinimumCandidacy:
-    """Check order == p*c + k, acceptance, and edge count == the hub bound."""
-    k, p, c = params.k, params.p, params.c
-    bound = hub_edge_bound(k, p, c)
-    m = graph.edge_count
-    order_ok = graph.n == params.critical_order
-    holds = bool(order_ok and verify_ft(graph, params).holds)
-    is_cand = order_ok and holds and m == bound
-    proven = is_cand and (k <= 1 or p == 1)
-    if not order_ok:
-        note = f"order {graph.n} != p*c + k = {params.critical_order}"
-    elif not holds:
-        note = "fails verification"
-    elif m != bound:
-        note = f"{m} edges; best known bound is {bound}"
-    elif proven:
-        note = "minimum (bound is exact in this regime)"
-    else:
-        note = f"candidate at bound {bound}; minimality unproven in this regime"
-    return MinimumCandidacy(is_cand, order_ok, holds, m, bound, proven, note)

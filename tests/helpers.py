@@ -177,6 +177,23 @@ def minimal_separators_bruteforce(g: Graph) -> set[tuple[int, ...]]:
     return out
 
 
+def matches_gluing_profile(graph: Graph, k: int, c: int) -> bool:
+    """True iff the graph is chordal with every maximal clique of size k+c
+    and every minimal separator of size k: the shape tree_of_cliques emits,
+    which is accepted for (k, p, c) with p = (n - k) / c."""
+    from ftclique import chordality
+
+    if (graph.n - k) % c != 0 or graph.n < k + c:
+        return False
+    result = chordality(graph)
+    if not result.is_chordal:
+        return False
+    tree = result.clique_tree
+    if any(len(part) != k + c for part in tree.parts):
+        return False
+    return all(len(adh) == k for _, _, adh in tree.tree_edges)
+
+
 def packings_exist_bruteforce(g: Graph, p: int, c: int) -> bool:
     """Scan all ways to pick p disjoint c-subsets and test cliqueness."""
 

@@ -28,11 +28,17 @@ def test_module_exports_resolve(name):
     ("ftclique", "DEFAULT_SIZE_LIMIT"),
     ("ftclique", "SizeLimitError"),
     ("ftclique", "GraphDocument"),
+    ("ftclique", "MinimumCandidacy"),
+    ("ftclique", "is_minimum_candidate"),
+    ("ftclique", "matches_gluing_profile"),
     ("ftclique.canon", "DEFAULT_SIZE_LIMIT"),
     ("ftclique.canon", "SizeLimitError"),
+    ("ftclique.construct", "matches_gluing_profile"),
     ("ftclique.formats", "GraphDocument"),
     ("ftclique.search", "EXHAUSTIVE_ORDER_LIMIT"),
     ("ftclique.search", "check_completed_report"),
+    ("ftclique.verify", "MinimumCandidacy"),
+    ("ftclique.verify", "is_minimum_candidate"),
 ])
 def test_removed_names_are_gone(owner, name):
     assert not hasattr(importlib.import_module(owner), name)

@@ -16,14 +16,13 @@ from ftclique import (
     emit_edge_list,
     harary,
     hub_edge_bound,
-    matches_gluing_profile,
     odd_cycle,
     star_construction,
     tree_of_cliques,
     verify_ft,
     vertex_connectivity,
 )
-from helpers import edge_connectivity_bruteforce
+from helpers import edge_connectivity_bruteforce, matches_gluing_profile
 
 
 def test_star_edge_counts_match_the_formula():

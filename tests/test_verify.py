@@ -12,14 +12,15 @@ import pytest
 from ftclique import (
     FTParams,
     Graph,
+    TreeTemplate,
     complete_graph,
     cycle_graph,
     disjoint_union,
     find_disjoint_cliques,
     hub_edge_bound,
-    is_minimum_candidate,
     relabeled,
     star_construction,
+    tree_of_cliques,
     verify_ft,
     verify_ft_oracle,
 )
@@ -156,41 +157,6 @@ def test_oracle_verifier_agrees():
             assert a.counterexample == b.counterexample
 
 
-def test_minimum_candidacy():
-    good = is_minimum_candidate(star_construction(2, 2, 3), FTParams(2, 2, 3))
-    assert good
-    assert good.edge_count == good.bound == 19
-    assert not good.proven_minimum
-    assert "candidate at bound 19" in good.note
-
-    proven = is_minimum_candidate(complete_graph(5), FTParams(2, 1, 3))
-    assert proven
-    assert proven.proven_minimum
-
-    k1 = is_minimum_candidate(star_construction(1, 2, 3), FTParams(1, 2, 3))
-    assert k1.proven_minimum
-
-    wrong_order = is_minimum_candidate(complete_graph(6), FTParams(2, 1, 3))
-    assert not wrong_order
-    assert not wrong_order.order_ok
-
-    failing = is_minimum_candidate(cycle_graph(7), FTParams(1, 2, 3))
-    assert not failing
-    assert failing.note == "fails verification"
-
-    # correct order, accepted, but one edge above the bound
-    from ftclique import Graph
-
-    g = star_construction(1, 2, 3)
-    extra = next((u, v) for u in range(7) for v in range(u + 1, 7)
-                 if not g.has_edge(u, v))
-    padded = Graph(7, g.edges() + [extra])
-    over = is_minimum_candidate(padded, FTParams(1, 2, 3))
-    assert not over
-    assert over.holds and over.order_ok
-    assert "13 edges" in over.note
-
-
 def test_masked_packer_matches_relabeled_packing():
     rng = random.Random(20240611)
     checked = 0
@@ -288,6 +254,57 @@ def test_verify_does_not_depend_on_jobs(monkeypatch):
     for jobs in (2, 3):
         assert {rank % jobs for rank in failing_ranks} == set(range(jobs))
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("kind, k, p, c", [
+    ("star", 2, 5, 3), ("star", 3, 3, 4), ("path", 2, 4, 4),
+], ids=["star-2-5-3", "star-3-3-4", "path-2-4-4"])
+def test_carried_packings_give_the_packers_verdict(monkeypatch, kind, k, p, c):
+    # Native labels let the carry answer most ranks; each dropped edge can
+    # break the clique a swap would take in, and the relabelings break up
+    # the runs of subsets that differ in one vertex of one clique.
+    monkeypatch.setattr(verify_module, "_PARALLEL_THRESHOLD", 1)
+    if kind == "star":
+        g = star_construction(k, p, c)
+    else:
+        g = tree_of_cliques(k, c, TreeTemplate.path(p, k, c))
+    native = [g] + [Graph(g.n, [e for e in g.edges() if e != drop])
+                    for drop in g.edges()]
+    rng = random.Random(2021)
+    graphs = list(native)
+    for _ in range(2):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs += [relabeled(h, perm) for h in native]
+    params = FTParams(k, p, c)
+    failing = 0
+    for h in graphs:
+        expected = verify_reference(h, params)
+        failing += not expected.holds
+        for max_witnesses in (0, 3):
+            with monkeypatch.context() as patched:
+                patched.setattr(verify_module, "_carry", lambda *args: False)
+                packer_only = verify_ft(h, params, max_witnesses=max_witnesses)
+            for jobs in (1, 2):
+                verdict = verify_ft(h, params, max_witnesses=max_witnesses, jobs=jobs)
+                assert (verdict.holds, verdict.counterexample, verdict.witness_count) == (
+                    expected.holds, expected.counterexample, expected.witness_count)
+                assert verdict == packer_only
+    assert 0 < failing < len(graphs)
+    assert multiprocessing.active_children() == []
+
+
+def test_carry_answers_most_ranks_on_native_labels(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return find_disjoint_cliques(*args)
+
+    monkeypatch.setattr(verify_module, "find_disjoint_cliques", counting)
+    verdict = verify_ft(star_construction(2, 5, 3), FTParams(2, 5, 3))
+    assert verdict.holds and verdict.witness_count == 136
+    assert len(calls) < 136 / 2
 
 
 def test_racing_workers_keep_the_least_failing_rank():
