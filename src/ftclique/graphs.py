@@ -120,31 +120,6 @@ class Graph:
         self._check_vertex(v)
         return set(bits(self.adj[v]))
 
-    def closed_neighborhood(self, v: int) -> set[int]:
-        """Closed neighborhood N[v] = N(v) plus v."""
-        self._check_vertex(v)
-        return set(bits(self.adj[v] | (1 << v)))
-
-    def neighborhood_of(self, vertices: Iterable[int]) -> set[int]:
-        """Open neighborhood N(U): vertices outside U with a neighbor in U."""
-        u_mask = 0
-        acc = 0
-        for v in vertices:
-            self._check_vertex(v)
-            u_mask |= 1 << v
-            acc |= self.adj[v]
-        return set(bits(acc & ~u_mask))
-
-    def closed_neighborhood_of(self, vertices: Iterable[int]) -> set[int]:
-        """Closed neighborhood N[U] = N(U) plus U."""
-        u_mask = 0
-        acc = 0
-        for v in vertices:
-            self._check_vertex(v)
-            u_mask |= 1 << v
-            acc |= self.adj[v]
-        return set(bits(acc | u_mask))
-
     def neighborhood_mask(self, u_mask: int) -> int:
         """N(U) as a mask, U given as a mask."""
         acc = 0

@@ -9,7 +9,7 @@ survive taking supergraphs.
 
 import multiprocessing
 from dataclasses import dataclass, field
-from itertools import combinations, count, islice
+from itertools import combinations, islice
 from math import comb
 from multiprocessing.connection import wait
 
@@ -113,11 +113,11 @@ def _carry(adj: tuple[int, ...], cliques: list[int], before: int,
     return bool(cliques)
 
 
-def _scan(graph: Graph, k: int, p: int, c: int, start: int, step: int,
-          max_witnesses: int, stop=None) -> tuple[
+def _scan(graph: Graph, k: int, p: int, c: int, start: int, end: int,
+          max_witnesses: int) -> tuple[
               int | None, tuple[int, ...] | None,
               list[tuple[int, tuple[int, ...], CliquePacking]]]:
-    """Check the k-subsets of lexicographic rank start, start + step, ... in order.
+    """Check the k-subsets of lexicographic rank start to end - 1 in order.
 
     Returns (first failing rank, its subset, witnesses), the first two None
     when every subset checked survives; witnesses are (rank, subset, packing)
@@ -131,28 +131,18 @@ def _scan(graph: Graph, k: int, p: int, c: int, start: int, step: int,
     survivors prove a rank. The packer runs only where the carry fails.
     A witness must be the lex-first packing the reference gives, so the
     ranks below max_witnesses always run the packer.
-
-    stop, when given, is a value shared by the workers of one scan: the
-    least failing rank found so far, C(n, k) at first. The scan ends before
-    a rank at or past it and lowers it to its own failing rank. Every value
-    written is a real failing rank, so a lost race between two writers only
-    ends scans later; no rank below the least failing one is ever skipped.
     """
     full = graph.full_mask
     adj = graph.adj
     witnesses: list[tuple[int, tuple[int, ...], CliquePacking]] = []
     cliques: list[int] = []
     before = 0
-    subsets = islice(combinations(range(graph.n), k), start, None, step)
-    for rank, subset in zip(count(start, step), subsets):
-        if stop is not None and rank >= stop.value:
-            break
+    subsets = islice(combinations(range(graph.n), k), start, end)
+    for rank, subset in enumerate(subsets, start):
         allowed = full & ~mask_of(subset)
         if rank < max_witnesses or not _carry(adj, cliques, before, allowed):
             packing = find_disjoint_cliques(graph, p, c, allowed)
             if packing is None:
-                if stop is not None and rank < stop.value:
-                    stop.value = rank
                 return rank, subset, witnesses
             if rank < max_witnesses:
                 witnesses.append((rank, subset, packing))
@@ -173,48 +163,55 @@ def _work(conn, *args) -> None:
 
 def _scan_parallel(graph: Graph, k: int, p: int, c: int, jobs: int,
                    max_witnesses: int, total: int) -> list:
-    """Run _scan in `jobs` fresh worker processes, worker j on ranks j, j + jobs, ...
+    """Run _scan in `jobs` fresh worker processes, worker j on the ranks
+    total*j//jobs up to total*(j+1)//jobs, so each keeps the carry.
 
-    The workers share one stop value, so none scans past a failure another
-    has found. Returns their results; re-raises a worker's exception, and
-    raises RuntimeError for a worker that exits without sending a result.
-    Workers that have not answered are terminated on every way out, and
-    every worker is joined.
+    Once a worker reports a failing rank, no later block can hold the least
+    one, so the workers of later blocks are terminated at once; earlier
+    blocks run to their end. Returns the results received; re-raises a
+    worker's exception, and raises RuntimeError for a worker that exits
+    without sending a result. Workers that have not answered are
+    terminated on every way out, and every worker is joined.
     """
-    # A signed 64-bit slot: a larger C(n, k) would wrap, and no scan gets that far.
-    stop = multiprocessing.RawValue("q", min(total, 2**63 - 1))
     workers = []
     pending = {}
     results = []
     try:
-        for start in range(jobs):
+        for j in range(jobs):
             receiver, sender = multiprocessing.Pipe(duplex=False)
             worker = multiprocessing.Process(
                 target=_work,
-                args=(sender, graph, k, p, c, start, jobs, max_witnesses, stop))
+                args=(sender, graph, k, p, c, total * j // jobs,
+                      total * (j + 1) // jobs, max_witnesses))
             worker.start()
             workers.append(worker)
-            pending[receiver] = worker
+            pending[receiver] = j
             sender.close()
         while pending:
             for receiver in wait(list(pending)):
-                worker = pending.pop(receiver)
+                if receiver not in pending:
+                    continue
+                j = pending.pop(receiver)
                 try:
                     result = receiver.recv()
                 except EOFError:
-                    worker.join()
+                    workers[j].join()
                     raise RuntimeError(
-                        f"verify worker exited with code {worker.exitcode} "
+                        f"verify worker exited with code {workers[j].exitcode} "
                         "before sending a result") from None
                 finally:
                     receiver.close()
                 if isinstance(result, Exception):
                     raise result
                 results.append(result)
+                if result[0] is not None:
+                    for later in [r for r, i in pending.items() if i > j]:
+                        later.close()
+                        workers[pending.pop(later)].terminate()
     finally:
-        for receiver, worker in pending.items():
+        for receiver, j in pending.items():
             receiver.close()
-            worker.terminate()
+            workers[j].terminate()
         for worker in workers:
             worker.join()
     return results
@@ -266,7 +263,7 @@ def verify_ft(graph: Graph, params: FTParams, *, max_witnesses: int = 0,
         results = _scan_parallel(graph, k, p, c, min(jobs, total),
                                  max_witnesses, total)
     else:
-        results = [_scan(graph, k, p, c, 0, 1, max_witnesses)]
+        results = [_scan(graph, k, p, c, 0, total, max_witnesses)]
 
     fail_rank: int | None = None
     fail_subset: tuple[int, ...] | None = None

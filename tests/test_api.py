@@ -44,6 +44,13 @@ def test_removed_names_are_gone(owner, name):
     assert not hasattr(importlib.import_module(owner), name)
 
 
+@pytest.mark.parametrize("method", [
+    "closed_neighborhood", "neighborhood_of", "closed_neighborhood_of",
+])
+def test_removed_graph_methods_are_gone(method):
+    assert not hasattr(ftclique.Graph, method)
+
+
 @pytest.mark.parametrize("function, argument", [
     (ftclique.search_minimum, "allow_large"),
     (ftclique.probe_conjecture, "allow_large"),

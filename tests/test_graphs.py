@@ -33,7 +33,6 @@ def test_basic_construction_and_accessors():
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
     assert not g.has_edge(0, 2)
     assert g.neighborhood(1) == {0, 2}
-    assert g.closed_neighborhood(1) == {0, 1, 2}
     assert g.full_mask == 0b1111
 
 
@@ -48,8 +47,6 @@ def test_rejects_bad_edges():
 
 def test_set_neighborhoods():
     g = path_graph(5)
-    assert g.neighborhood_of([1, 2]) == {0, 3}
-    assert g.closed_neighborhood_of([1, 2]) == {0, 1, 2, 3}
     assert g.neighborhood_mask(mask_of([0])) == mask_of([1])
 
 

@@ -198,34 +198,40 @@ def test_verify_matches_relabeled_reference(monkeypatch, drop, jobs):
     assert verdict.holds != drop
 
 
-def test_scan_stops_before_a_rank_at_or_past_the_stop_value(monkeypatch):
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return find_disjoint_cliques(*args)
-
-    monkeypatch.setattr(verify_module, "find_disjoint_cliques", counting)
-    g = star_construction(2, 5, 3)
-    for start, step, stop in [(5, 2, 3), (5, 2, 5), (0, 1, 0), (2, 3, 1)]:
-        result = verify_module._scan(g, 2, 5, 3, start, step, comb(g.n, 2),
-                                     multiprocessing.RawValue("q", stop))
-        assert result == (None, None, [])
-    assert calls == []
-
-
-def test_scan_lowers_the_stop_value_to_its_failing_rank():
+def test_scan_checks_exactly_its_rank_range():
     g = disjoint_union(star_construction(3, 3, 3), complete_graph(3))
     expected = verify_ft(g, FTParams(3, 4, 3))
     first = expected.witness_count - 1
-    stop = multiprocessing.RawValue("q", comb(g.n, 3))
-    rank, subset, _ = verify_module._scan(g, 3, 4, 3, first % 2, 2, 0, stop)
-    assert (rank, subset) == (first, expected.counterexample)
-    assert stop.value == first
-    # A later failure never raises the value again.
-    stop.value = 0
-    assert verify_module._scan(g, 3, 4, 3, first, 1, 0, stop) == (None, None, [])
-    assert stop.value == 0
+    end = comb(g.n, 3)
+    assert verify_module._scan(g, 3, 4, 3, 0, first, 0) == (None, None, [])
+    assert verify_module._scan(g, 3, 4, 3, first, end, 0) == (
+        first, expected.counterexample, [])
+    rank, _, _ = verify_module._scan(g, 3, 4, 3, first + 1, end, 0)
+    assert rank is None or rank > first
+
+
+def test_failing_block_cancels_the_later_blocks(monkeypatch):
+    # Rank 0 deletes {0, 1} and fails in the first block once the second
+    # block's worker sleeps in the packer, so only cancelling that worker
+    # returns in time.
+    monkeypatch.setattr(verify_module, "_PARALLEL_THRESHOLD", 1)
+
+    def failing_first(graph, p, c, allowed=None):
+        if not allowed & 0b11:
+            time.sleep(1)
+            return None
+        time.sleep(60)
+
+    monkeypatch.setattr(verify_module, "find_disjoint_cliques", failing_first)
+    g = star_construction(2, 5, 3)
+    params = FTParams(2, 5, 3)
+    serial = verify_ft(g, params)
+    assert (serial.holds, serial.counterexample, serial.witness_count) == (False, (0, 1), 1)
+    started = time.monotonic()
+    verdict = verify_ft(g, params, jobs=2)
+    assert time.monotonic() - started < 10
+    assert verdict == serial and verdict.reason == serial.reason
+    assert multiprocessing.active_children() == []
 
 
 def test_verify_does_not_depend_on_jobs(monkeypatch):
@@ -238,8 +244,11 @@ def test_verify_does_not_depend_on_jobs(monkeypatch):
     g = relabeled(g, perm)
     params = FTParams(2, 5, 3)
     everything = comb(g.n, 2)
-    graphs = [g] + [Graph(g.n, [e for e in g.edges() if e != drop])
-                    for drop in g.edges()]
+    # The drops of g fail below rank 79 of 136; reversing the labels moves
+    # failures into the last ranks, so every block of jobs 2 and 3 holds some.
+    reverse = relabeled(g, list(range(g.n - 1, -1, -1)))
+    graphs = [g] + [Graph(h.n, [e for e in h.edges() if e != drop])
+                    for h in (g, reverse) for drop in h.edges()]
     failing_ranks = []
     for h in graphs:
         expected = verify_reference(h, params)
@@ -252,7 +261,9 @@ def test_verify_does_not_depend_on_jobs(monkeypatch):
             failing_ranks.append(serial.witness_count - 1)
     assert len(failing_ranks) == len(graphs) - 1
     for jobs in (2, 3):
-        assert {rank % jobs for rank in failing_ranks} == set(range(jobs))
+        for j in range(jobs):
+            block = range(everything * j // jobs, everything * (j + 1) // jobs)
+            assert any(rank in block for rank in failing_ranks)
     assert multiprocessing.active_children() == []
 
 
@@ -307,9 +318,29 @@ def test_carry_answers_most_ranks_on_native_labels(monkeypatch):
     assert len(calls) < 136 / 2
 
 
+def test_carry_survives_the_split_into_blocks(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return find_disjoint_cliques(*args)
+
+    monkeypatch.setattr(verify_module, "find_disjoint_cliques", counting)
+    g = star_construction(2, 5, 3)
+    total = comb(g.n, 2)
+    assert verify_module._scan(g, 2, 5, 3, 0, total, 0) == (None, None, [])
+    serial = len(calls)
+    for jobs in (2, 3):
+        calls.clear()
+        for j in range(jobs):
+            assert verify_module._scan(g, 2, 5, 3, total * j // jobs,
+                                       total * (j + 1) // jobs, 0) == (None, None, [])
+        assert len(calls) <= serial + jobs - 1
+
+
 def test_racing_workers_keep_the_least_failing_rank():
-    # More workers than cores, and a failure in every few ranks, so the
-    # workers race to lower the shared stop value.
+    # More workers than cores, and a failure in every few ranks, so several
+    # blocks fail and each failure cancels the blocks after it.
     g = disjoint_union(star_construction(3, 3, 3), complete_graph(3))
     params = FTParams(3, 4, 3)
     everything = comb(g.n, 3)
