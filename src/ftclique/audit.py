@@ -14,7 +14,7 @@ from math import comb
 from .blocks import blocks
 from .connectivity import component_masks, is_connected
 from .graphs import Graph, bits, mask_of, vertex_tuple
-from .packing import has_clique_containing
+from .packing import clique_containing, has_clique_containing
 from .verify import FTParams, degree_floor, verify_ft, vertex_below_floor
 
 __all__ = [
@@ -68,13 +68,22 @@ def vertex_without_surviving_clique(graph: Graph, k: int, c: int) -> int | None:
     inside N(v) matter, and deleting more of N(v) never helps v: v survives
     every k-deletion exactly when it survives every deletion of
     min(k, deg v) neighbors. With k = 0 this asks that every vertex lie in
-    some c-clique."""
+    some c-clique.
+
+    The c-cliques through v found so far are kept as masks, and a clique
+    search runs only for a deletion set that meets every one of them."""
     full = graph.full_mask
     for v in range(graph.n):
         nbrs = vertex_tuple(graph.adj[v])
+        found: list[int] = []
         for s in combinations(nbrs, min(k, len(nbrs))):
-            if not has_clique_containing(graph, v, c, full & ~mask_of(s)):
+            deleted = mask_of(s)
+            if any(not clique & deleted for clique in found):
+                continue
+            clique = clique_containing(graph, v, c, full & ~deleted)
+            if clique is None:
                 return v
+            found.append(clique)
     return None
 
 

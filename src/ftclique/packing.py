@@ -18,6 +18,7 @@ __all__ = [
     "oracle_packing_exists",
     "is_valid_packing",
     "has_clique_containing",
+    "clique_containing",
 ]
 
 
@@ -50,6 +51,10 @@ def find_disjoint_cliques(graph: Graph, p: int, c: int,
     cliques are anchored there; any available vertex with fewer than c-1
     available neighbors is discarded (or dooms the branch in the perfect
     case); branches with fewer available vertices than demanded are cut.
+    The discard is a (c-1)-core peel kept up to date locally: a step
+    re-checks only the neighbors of what it removed (the placed clique, a
+    skipped anchor, or the vertices just peeled), since no other vertex
+    lost an available neighbor.
     """
     _check_params(p, c)
     pool = graph.full_mask if allowed is None else allowed & graph.full_mask
@@ -61,36 +66,41 @@ def find_disjoint_cliques(graph: Graph, p: int, c: int,
     need_nbrs = c - 1
     chosen: list[int] = []
 
-    def place(avail: int, left: int) -> bool:
+    def place(avail: int, left: int, dirty: int) -> bool:
+        # Every vertex of avail outside `dirty` has need_nbrs neighbors in
+        # avail, so only `dirty` is re-checked.
         if left == 0:
             return True
-        while True:
-            weak = 0
-            rest = avail
+        dirty &= avail
+        while dirty:
+            weak = touched = 0
+            rest = dirty
             while rest:
                 low = rest & -rest
                 rest ^= low
-                if (adj[low.bit_length() - 1] & avail).bit_count() < need_nbrs:
+                nbrs = adj[low.bit_length() - 1]
+                if (nbrs & avail).bit_count() < need_nbrs:
+                    if perfect:
+                        return False
                     weak |= low
-            if not weak:
-                break
-            if perfect:
-                return False
+                    touched |= nbrs
             avail &= ~weak
+            dirty = touched & avail
         if avail.bit_count() < left * c:
             return False
         anchor_bit = avail & -avail
         anchor = anchor_bit.bit_length() - 1
-        if grow(anchor_bit, adj[anchor] & avail, c - 1, avail, left):
+        if grow(anchor_bit, adj[anchor] & avail, c - 1, avail, left, adj[anchor]):
             return True
         if perfect:
             return False
-        return place(avail & ~anchor_bit, left)
+        return place(avail & ~anchor_bit, left, adj[anchor])
 
-    def grow(members: int, cands: int, missing: int, avail: int, left: int) -> bool:
+    def grow(members: int, cands: int, missing: int, avail: int, left: int,
+             touched: int) -> bool:
         if missing == 0:
             chosen.append(members)
-            if place(avail & ~members, left - 1):
+            if place(avail & ~members, left - 1, touched):
                 return True
             chosen.pop()
             return False
@@ -100,11 +110,12 @@ def find_disjoint_cliques(graph: Graph, p: int, c: int,
         while rest:
             low = rest & -rest
             rest ^= low
-            if grow(members | low, rest & adj[low.bit_length() - 1], missing - 1, avail, left):
+            nbrs = adj[low.bit_length() - 1]
+            if grow(members | low, rest & nbrs, missing - 1, avail, left, touched | nbrs):
                 return True
         return False
 
-    if place(pool, p):
+    if place(pool, p, pool):
         return CliquePacking(tuple(vertex_tuple(m) for m in chosen))
     return None
 
@@ -158,27 +169,34 @@ def is_valid_packing(graph: Graph, packing: CliquePacking, p: int, c: int) -> bo
     return True
 
 
-def has_clique_containing(graph: Graph, v: int, c: int, allowed: int | None = None) -> bool:
-    """True iff some c-clique contains v, drawn from the `allowed` mask."""
+def clique_containing(graph: Graph, v: int, c: int, allowed: int | None = None) -> int | None:
+    """Mask of the lexicographically first c-clique through v drawn from the
+    `allowed` mask, or None if there is none."""
     graph._check_vertex(v)
     if c < 1:
         raise ValueError(f"c must be >= 1, got {c}")
     adj = graph.adj
     pool = graph.full_mask if allowed is None else allowed
     if not (pool >> v & 1):
-        return False
+        return None
 
-    def extend(cands: int, missing: int) -> bool:
+    def extend(members: int, cands: int, missing: int) -> int | None:
         if missing == 0:
-            return True
+            return members
         if cands.bit_count() < missing:
-            return False
+            return None
         rest = cands
         while rest:
             low = rest & -rest
             rest ^= low
-            if extend(rest & adj[low.bit_length() - 1], missing - 1):
-                return True
-        return False
+            found = extend(members | low, rest & adj[low.bit_length() - 1], missing - 1)
+            if found is not None:
+                return found
+        return None
 
-    return extend(adj[v] & pool, c - 1)
+    return extend(1 << v, adj[v] & pool, c - 1)
+
+
+def has_clique_containing(graph: Graph, v: int, c: int, allowed: int | None = None) -> bool:
+    """True iff some c-clique contains v, drawn from the `allowed` mask."""
+    return clique_containing(graph, v, c, allowed) is not None

@@ -296,6 +296,69 @@ def bad_resume_afters(after: str, d0: int, tight: int) -> dict:
     }
 
 
+def find_disjoint_cliques_full_peel(graph: Graph, p: int, c: int, allowed: int | None = None):
+    """`find_disjoint_cliques` as it was before its peel went incremental:
+    every step re-tests every available vertex for c - 1 available
+    neighbors until none fails. Kept frozen to compare packings exactly."""
+    from ftclique import CliquePacking
+    from ftclique.graphs import vertex_tuple
+
+    pool = graph.full_mask if allowed is None else allowed & graph.full_mask
+    size = pool.bit_count()
+    if p * c > size:
+        return None
+    adj = graph.adj
+    perfect = p * c == size
+    chosen: list[int] = []
+
+    def place(avail: int, left: int) -> bool:
+        if left == 0:
+            return True
+        while True:
+            weak = 0
+            rest = avail
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if (adj[low.bit_length() - 1] & avail).bit_count() < c - 1:
+                    weak |= low
+            if not weak:
+                break
+            if perfect:
+                return False
+            avail &= ~weak
+        if avail.bit_count() < left * c:
+            return False
+        anchor_bit = avail & -avail
+        anchor = anchor_bit.bit_length() - 1
+        if grow(anchor_bit, adj[anchor] & avail, c - 1, avail, left):
+            return True
+        if perfect:
+            return False
+        return place(avail & ~anchor_bit, left)
+
+    def grow(members: int, cands: int, missing: int, avail: int, left: int) -> bool:
+        if missing == 0:
+            chosen.append(members)
+            if place(avail & ~members, left - 1):
+                return True
+            chosen.pop()
+            return False
+        if cands.bit_count() < missing:
+            return False
+        rest = cands
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if grow(members | low, rest & adj[low.bit_length() - 1], missing - 1, avail, left):
+                return True
+        return False
+
+    if place(pool, p):
+        return CliquePacking(tuple(vertex_tuple(m) for m in chosen))
+    return None
+
+
 def packing_after_deletion_reference(g: Graph, p: int, c: int, deleted):
     """Relabel, pack and translate: the packing of the graph left by
     deleting `deleted`, searched on a relabeled copy of the survivors and

@@ -1,7 +1,9 @@
 """Structural audits and the k = 1 minimality recognizer."""
 
 import random
+from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -90,6 +92,33 @@ def _surviving_clique_cases():
             yield params, shuffled
             for i in rng.sample(range(len(edges)), 4):
                 yield params, Graph(n, edges[:i] + edges[i + 1:])
+    # hub-heavy: one clique through a hub answers most of its C(37, 2)
+    # deletion sets
+    params = FTParams(2, 12, 3)
+    hub = _relabeled_star_2_12_3(rng)
+    edges = hub.edges()
+    yield params, hub
+    for i in rng.sample(range(len(edges)), 2):
+        yield params, Graph(hub.n, edges[:i] + edges[i + 1:])
+    # K_n minus a perfect matching: a vertex needs several cliques
+    for k, p, c in [(2, 1, 4), (2, 2, 3), (2, 2, 4), (1, 3, 3), (2, 3, 4), (4, 2, 4)]:
+        params = FTParams(k, p, c)
+        n = params.critical_order
+        perm = list(range(n))
+        rng.shuffle(perm)
+        yield params, _complete_minus_matching(n)
+        yield params, relabeled(_complete_minus_matching(n), perm)
+
+
+def _relabeled_star_2_12_3(rng: random.Random) -> Graph:
+    perm = list(range(38))
+    rng.shuffle(perm)
+    return relabeled(star_construction(2, 12, 3), perm)
+
+
+def _complete_minus_matching(n: int) -> Graph:
+    """K_n for even n without the edges (0, 1), (2, 3), ..., (n - 2, n - 1)."""
+    return Graph(n, [(u, v) for u, v in combinations(range(n), 2) if v != u ^ 1])
 
 
 def _first_vertex_in_no_clique(g: Graph, c: int):
@@ -118,11 +147,34 @@ def test_surviving_clique_matches_full_scan():
     assert outcomes == {True, False}
 
 
-def test_surviving_clique_scan_over_the_cap_raises_before_searching(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("clique search ran before the cap check")
+def test_surviving_clique_sweep_reuses_the_cliques_it_found(monkeypatch):
+    searches = Counter()
+    search = audit_module.clique_containing
 
-    monkeypatch.setattr(audit_module, "has_clique_containing", refuse)
+    def counting(graph, v, c, allowed=None):
+        searches[v] += 1
+        return search(graph, v, c, allowed)
+
+    monkeypatch.setattr(audit_module, "clique_containing", counting)
+    hub = _relabeled_star_2_12_3(random.Random(7))
+    assert vertex_without_surviving_clique(hub, 2, 3) is None
+    assert 5 * sum(searches.values()) < sum(comb(d, 2) for d in hub.degrees())
+    searches.clear()
+    assert vertex_without_surviving_clique(_complete_minus_matching(10), 2, 4) is None
+    assert sorted(searches) == list(range(10)) and min(searches.values()) >= 3
+
+
+def test_surviving_clique_scan_over_the_cap_raises_before_searching(monkeypatch):
+    class SearchRan(Exception):
+        pass
+
+    def refuse(*args):
+        raise SearchRan
+
+    monkeypatch.setattr(audit_module, "clique_containing", refuse)
+    # the patched search is the one the sweep calls
+    with pytest.raises(SearchRan):
+        audit_basic(complete_graph(6), FTParams(3, 1, 3))
     # 63 * C(62, 3) deletion sets inside the neighborhoods, over the cap
     with pytest.raises(ValueError, match="cap"):
         audit_basic(complete_graph(63), FTParams(3, 20, 3))

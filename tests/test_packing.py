@@ -1,11 +1,15 @@
 """Disjoint clique packing: exact backtracker vs the naive oracle."""
 
 import random
+import sys
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from ftclique import (
     OracleBudgetError,
+    TreeTemplate,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -13,9 +17,13 @@ from ftclique import (
     has_clique_containing,
     is_valid_packing,
     oracle_packing_exists,
+    relabeled,
+    star_construction,
+    tree_of_cliques,
 )
-from ftclique.graphs import Graph, mask_of
-from helpers import packings_exist_bruteforce, random_graph
+from ftclique.graphs import Graph, mask_of, vertex_tuple
+from ftclique.packing import _families
+from helpers import find_disjoint_cliques_full_peel, packings_exist_bruteforce, random_graph
 
 
 def petersen() -> Graph:
@@ -83,6 +91,82 @@ def test_agreement_with_oracles():
         assert (got is not None) == oracle_packing_exists(g, p, c)
         if got is not None:
             assert is_valid_packing(g, got, p, c)
+
+
+def _lex_first_family(g: Graph, p: int, c: int, allowed: int):
+    """The first family of `_families`' lexicographic enumeration over the
+    allowed vertices whose sets are all cliques, or None."""
+    for family in _families(vertex_tuple(allowed), p, c, ()):
+        if all(g.is_clique(sub) for sub in family):
+            return family
+    return None
+
+
+def test_packer_returns_the_lex_first_family():
+    # n <= 10 keeps every instance inside the oracle budget (n <= 12)
+    rng = random.Random(4242)
+    perfect_pools = found = 0
+    for _ in range(400):
+        n = rng.randint(2, 10)
+        g = random_graph(rng, n, rng.choice([0.5, 0.7, 0.85, 0.95]))
+        c = rng.randint(2, 4)
+        p = rng.randint(1, max(1, n // c))
+        if rng.random() < 0.4 and p * c <= n:
+            allowed = mask_of(rng.sample(range(n), p * c))
+        else:
+            allowed = rng.getrandbits(n) | (g.full_mask if rng.random() < 0.3 else 0)
+        perfect_pools += allowed.bit_count() == p * c
+        want = _lex_first_family(g, p, c, allowed)
+        got = find_disjoint_cliques(g, p, c, allowed)
+        assert (None if got is None else got.cliques) == want, (g.edges(), p, c, allowed)
+        found += want is not None
+    assert perfect_pools >= 100 and 100 <= found <= 300
+
+
+def _packing_and_search_tree(packer, *args):
+    """The packer's result, and how many times it entered its place and
+    grow steps: equal counts mean the two packers walked the same tree."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name in ("place", "grow"):
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = packer(*args)
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def _assert_same_as_full_peel(*args):
+    # the incremental peel reaches the full peel's fixpoint at every step,
+    # so it returns the same packing after walking the same search tree
+    got = _packing_and_search_tree(find_disjoint_cliques, *args)
+    assert got == _packing_and_search_tree(find_disjoint_cliques_full_peel, *args), args
+
+
+def test_packer_matches_the_full_peel_packer():
+    rng = random.Random(8080)
+    for _ in range(600):
+        n = rng.randint(1, 20)
+        g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7, 0.85, 0.95]))
+        c = rng.randint(2, 4)
+        p = rng.randint(1, max(1, n // c))
+        allowed = rng.getrandbits(n) if rng.random() < 0.7 else None
+        _assert_same_as_full_peel(g, p, c, allowed)
+    for k, p, c in [(1, 4, 3), (2, 4, 3), (2, 3, 4), (3, 4, 4), (2, 6, 3)]:
+        n = p * c + k
+        for g in (star_construction(k, p, c), tree_of_cliques(k, c, TreeTemplate.path(p, k, c))):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g = relabeled(g, perm)
+            # every k-deletion leaves a perfect pool for p, a larger one for p - 1
+            for s in combinations(range(n), k):
+                allowed = g.full_mask & ~mask_of(s)
+                for q in {p, p - 1} - {0}:
+                    _assert_same_as_full_peel(g, q, c, allowed)
 
 
 def test_packing_monotone_under_edge_addition():
