@@ -56,7 +56,7 @@ def _read_text(path: str | None) -> str:
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
-    return parse_graph(_read_text(args.file), args.format)
+    return parse_graph(_read_text(args.file))
 
 
 def _emit(obj: dict) -> None:
@@ -67,9 +67,6 @@ def _emit(obj: dict) -> None:
 def _add_graph_input(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("file", nargs="?", default=None,
                      help="graph file (edge list or graph6); stdin when omitted")
-    sub.add_argument("--format", default="auto",
-                     choices=["auto", "edge-list", "graph6"],
-                     help="input format (default: detect)")
 
 
 def _add_params(sub: argparse.ArgumentParser, *, with_k: bool = True) -> None:

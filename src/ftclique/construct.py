@@ -45,7 +45,8 @@ class TreeTemplate:
     one gluing (parent, child, slots): the child reuses the k vertices at
     the given slot indices (0..k+c-1) of its parent's clique. Within any
     part, slots 0..k-1 are the inherited vertices (fresh for the root) and
-    slots k..k+c-1 are the c fresh vertices.
+    slots k..k+c-1 are the c fresh vertices. path and star build the two
+    built-in plans; any other plan is written out as its gluings.
     """
 
     p: int
@@ -82,19 +83,18 @@ class TreeTemplate:
         return order
 
     @classmethod
-    def path(cls, p: int, k: int, c: int, *, newest: bool = True) -> "TreeTemplate":
-        """Chain of parts; each child reuses its parent's k newest vertices
-        (slots c..c+k-1, requires k <= c) or the k oldest (slots 0..k-1)."""
-        if newest and k > c:
+    def path(cls, p: int, k: int, c: int) -> "TreeTemplate":
+        """Chain of parts; each child reuses its parent's k newest vertices,
+        slots c..c+k-1, which are the newest only when k <= c."""
+        if k > c:
             raise ValueError("newest attachment needs k <= c")
-        slots = tuple(range(c, c + k)) if newest else tuple(range(k))
+        slots = tuple(range(c, c + k))
         return cls(p, tuple((i, i + 1, slots) for i in range(p - 1)))
 
     @classmethod
-    def star(cls, p: int, k: int, *, slots: tuple[int, ...] | None = None) -> "TreeTemplate":
-        """All parts hang off the root, reusing the same k root slots."""
-        if slots is None:
-            slots = tuple(range(k))
+    def star(cls, p: int, k: int) -> "TreeTemplate":
+        """All parts hang off the root's first k vertices, slots 0..k-1."""
+        slots = tuple(range(k))
         return cls(p, tuple((0, i, slots) for i in range(1, p)))
 
 

@@ -164,23 +164,22 @@ def parse_graph6(data: str | bytes) -> Graph:
 
 
 def detect_format(text: str) -> str:
+    """"graph6" if the first non-space character opens the >>graph6<< header
+    or is a graph6 byte (63..126), else "edge-list", whose header opens with
+    a digit or a sign: each text goes to the one parser that may accept it."""
     stripped = text.lstrip()
     if not stripped:
         raise ValueError("empty graph input")
-    if stripped.startswith(_G6_HEADER):
+    if stripped.startswith(_G6_HEADER) or 63 <= ord(stripped[0]) <= 126:
         return "graph6"
-    # Edge-list lines start with a decimal digit; every graph6 byte is >= 63.
-    return "edge-list" if stripped[0].isdigit() else "graph6"
+    return "edge-list"
 
 
-def parse_graph(text: str, fmt: str = "auto") -> Graph:
-    if fmt == "auto":
-        fmt = detect_format(text)
-    if fmt == "edge-list":
-        return parse_edge_list(text)
-    if fmt == "graph6":
+def parse_graph(text: str) -> Graph:
+    """Parse an edge list or a graph6 line, as detect_format routes it."""
+    if detect_format(text) == "graph6":
         return parse_graph6(text)
-    raise ValueError(f"unknown graph format {fmt!r}")
+    return parse_edge_list(text)
 
 
 def emit_graph(graph: Graph, fmt: str = "edge-list") -> str:

@@ -297,29 +297,26 @@ def _iter_adjacencies(n: int, m: int, dmin: int, d0: int, after=None, tight=None
              for u in range(1, n) for v in range(u + 1, n)]
     total_slots = len(slots)
     # Vertex x < n-2 becomes final on entering the walk at the slot after
-    # (x, n-1); closing[i] names it (0: none) and final[i] is the final
-    # set there. Vertices n-2 and n-1 become final together at the leaf.
+    # (x, n-1); closing[i] names it (0: none), and the final vertices are
+    # then 0..x. Vertices n-2 and n-1 become final together at the leaf.
     closing = [0] * (total_slots + 1)
-    final = [1] * (total_slots + 1)
     if tight is not None:
-        for i, (u, v, _, _) in enumerate(slots):
-            final[i + 1] = final[i]
+        for i, (u, v, _, _) in enumerate(slots, start=1):
             if v == n - 1 and u < n - 2:
-                closing[i + 1] = u
-                final[i + 1] |= 1 << u
+                closing[i] = u
 
     adj = [0] * n
     adj[0] = mask_of(range(1, d0 + 1))
     for v in range(1, d0 + 1):
         adj[v] = 1
 
-    def closes(x: int, done: int, tight_done: int) -> int:
-        # tight_done (the final vertices of degree tight) once x is final
-        # among the final vertices done, or -1 if x breaks the tight rule.
+    def closes(x: int, tight_done: int) -> int:
+        # tight_done (the final vertices of degree tight) once x joins the
+        # final vertices 0..x-1, or -1 if x breaks the tight rule.
         if adj[x].bit_count() != tight:
             return tight_done
         closed_x = adj[x] | 1 << x
-        for y in bits(adj[x] & done):
+        for y in bits(adj[x] & ((1 << x) - 1)):
             if closed_x & ~(adj[y] | 1 << y):
                 return -1
         return tight_done | 1 << x
@@ -332,7 +329,7 @@ def _iter_adjacencies(n: int, m: int, dmin: int, d0: int, after=None, tight=None
         while deficit <= 2 * need:
             x = closing[i]
             if x:
-                tight_done = closes(x, final[i], tight_done)
+                tight_done = closes(x, tight_done)
                 if tight_done < 0:
                     break
             if need == 0:

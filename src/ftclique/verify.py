@@ -36,6 +36,8 @@ class FTParams:
     c: int
 
     def __post_init__(self) -> None:
+        if not type(self.k) is type(self.p) is type(self.c) is int:  # bool too
+            raise ValueError(f"k, p and c must be integers, got {self.k!r}, {self.p!r}, {self.c!r}")
         if self.k < 0:
             raise ValueError(f"k must be >= 0, got {self.k}")
         if self.p < 1:
@@ -223,12 +225,12 @@ def verify_ft(graph: Graph, params: FTParams, *, max_witnesses: int = 0,
 
     The verdict does not depend on `jobs`: parallel workers report the rank
     of their first failure and the aggregator keeps the minimum. Raises
-    ValueError for jobs < 1 or max_witnesses < 0.
+    ValueError for jobs < 1, max_witnesses < 0 or either not an integer.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if max_witnesses < 0:
-        raise ValueError(f"max_witnesses must be >= 0, got {max_witnesses}")
+    if type(jobs) is not int or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
+    if type(max_witnesses) is not int or max_witnesses < 0:
+        raise ValueError(f"max_witnesses must be an integer >= 0, got {max_witnesses!r}")
     k, p, c = params.k, params.p, params.c
     n = graph.n
     want = max_witnesses > 0

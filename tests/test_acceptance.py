@@ -39,18 +39,19 @@ from helpers import all_graphs_with_edges, random_graph
 CONSTRUCTION_PARAMS = [(1, 2, 3), (1, 3, 3), (1, 2, 4), (2, 2, 3), (2, 5, 3)]
 
 
-def _templates(p: int, k: int, c: int) -> list[TreeTemplate]:
-    """Three pairwise distinct gluing plans for the same (k, p, c)."""
+def _tree_graphs(k: int, p: int, c: int) -> list[Graph]:
+    """Trees of cliques for (k, p, c) from three plans that build three
+    distinct labeled graphs: the path, the star (star_construction's
+    graph), and a star glued at root slots 1..k."""
     plans = [
-        TreeTemplate.path(p, k, c, newest=True),
-        TreeTemplate.path(p, k, c, newest=False),
+        TreeTemplate.path(p, k, c),
+        TreeTemplate.star(p, k),
+        TreeTemplate(p, tuple((0, i, tuple(range(1, k + 1))) for i in range(1, p))),
     ]
-    if p > 2:
-        plans.append(TreeTemplate.star(p, k))
-    else:
-        plans.append(TreeTemplate.star(p, k, slots=tuple(range(1, k + 1))))
-    assert len(set(plans)) == 3
-    return plans
+    graphs = [tree_of_cliques(k, c, t) for t in plans]
+    assert len(set(graphs)) == 3
+    assert graphs[1] == star_construction(k, p, c)
+    return graphs
 
 
 def _report(label: str, started: float, limit: float, detail: str = "") -> None:
@@ -76,8 +77,7 @@ def test_constructions_verify_across_params():
     started = time.monotonic()
     for k, p, c in CONSTRUCTION_PARAMS:
         params = FTParams(k, p, c)
-        family = [star_construction(k, p, c)]
-        family.extend(tree_of_cliques(k, c, t) for t in _templates(p, k, c))
+        family = _tree_graphs(k, p, c)
         for g in family:
             assert g.n == p * c + k
             assert verify_ft(g, params).holds, (k, p, c)
@@ -85,7 +85,8 @@ def test_constructions_verify_across_params():
             for g in family:
                 assert (g.n, g.edge_count) == (17, 46)
     _report(
-        "star and 3 distinct clique-tree gluings verify at 5 parameter sets",
+        "3 distinct clique-tree gluings, the star among them, verify at 5 "
+        "parameter sets",
         started, 30.0, "(2,5,3) family is 17 vertices / 46 edges",
     )
 
@@ -223,8 +224,7 @@ def test_audits_and_connectivity_on_constructed_families():
     started = time.monotonic()
     for k, p, c in CONSTRUCTION_PARAMS:
         params = FTParams(k, p, c)
-        family = [star_construction(k, p, c)]
-        family.extend(tree_of_cliques(k, c, t) for t in _templates(p, k, c))
+        family = _tree_graphs(k, p, c)
         for g in family:
             assert audit_basic(g, params).passed, (k, p, c)
             assert audit_low_degree_cliques(g, params).passed, (k, p, c)
@@ -247,8 +247,7 @@ def test_contraction_reduces_packing_count():
     for p in (2, 3):
         for c in (3, 4):
             params = FTParams(1, p, c)
-            family = [star_construction(1, p, c)]
-            family.extend(tree_of_cliques(1, c, t) for t in _templates(p, 1, c))
+            family = _tree_graphs(1, p, c)
             if p == 3:
                 branched = TreeTemplate(3, ((0, 1, (c,)), (0, 2, (0,))))
                 family.append(tree_of_cliques(1, c, branched))

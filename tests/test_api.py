@@ -59,6 +59,9 @@ def test_removed_graph_methods_are_gone(method):
     (ftclique.audit_basic, "samples_per_vertex"),
     (ftclique.audit_basic, "exhaustive_cutoff"),
     (ftclique.audit_basic, "seed"),
+    (ftclique.TreeTemplate.path, "newest"),
+    (ftclique.TreeTemplate.star, "slots"),
+    (ftclique.parse_graph, "fmt"),
 ])
 def test_removed_arguments_are_gone(function, argument):
     assert argument not in inspect.signature(function).parameters

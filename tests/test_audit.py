@@ -1,6 +1,7 @@
 """Structural audits and the k = 1 minimality recognizer."""
 
 import random
+import time
 from collections import Counter
 from itertools import combinations
 from math import comb
@@ -212,6 +213,31 @@ def test_size_k_separators():
     two = tree_of_cliques(2, 3, TreeTemplate.path(2, 2, 3))
     seps = size_k_separators(two, 2)
     assert seps == [(3, 4)]
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        size_k_separators(two, -1)
+
+
+def test_separator_sweep_over_the_cap_raises_before_sweeping(monkeypatch):
+    class SweepRan(Exception):
+        pass
+
+    def refuse(*args):
+        raise SweepRan
+
+    audit_module._separations.cache_clear()
+    monkeypatch.setattr(audit_module, "component_masks", refuse)
+    # the patched split is the one the sweep calls
+    with pytest.raises(SweepRan):
+        size_k_separators(star_construction(1, 2, 3), 1)
+    # C(61, 4) = 521,855 deletion sets, over the cap
+    g = star_construction(4, 19, 3)
+    params = FTParams(4, 19, 3)
+    started = time.monotonic()
+    with pytest.raises(ValueError, match="cap"):
+        size_k_separators(g, 4)
+    with pytest.raises(ValueError, match="cap"):
+        audit_low_degree_cliques(g, params)
+    assert time.monotonic() - started < 1.0
 
 
 def test_audit_separator_on_glued_families():
@@ -300,7 +326,7 @@ def test_recognize_rejects_wrong_shapes():
 def test_recognize_glued_trees():
     g = tree_of_cliques(1, 3, TreeTemplate.path(3, 1, 3))
     assert recognize_min_1ft(g, 3, 3)
-    h = tree_of_cliques(1, 4, TreeTemplate.star(3, 1, slots=(2,)))
+    h = tree_of_cliques(1, 4, TreeTemplate(3, ((0, 1, (2,)), (0, 2, (2,)))))
     assert recognize_min_1ft(h, 3, 4)
 
 

@@ -74,11 +74,20 @@ def test_verify_reads_graph6_and_collects_witnesses(tmp_path, capsys):
     path = tmp_path / "k4.g6"
     path.write_text(emit_graph6(complete_graph(4)))
     code, report, _ = run_json(capsys, "verify", "--k", "1", "--p", "1",
-                               "--c", "3", "--witnesses", "2",
-                               "--format", "graph6", str(path))
+                               "--c", "3", "--witnesses", "2", str(path))
     assert code == 0
     assert len(report["witnesses"]) == 2
     assert report["witnesses"]["0"] == [[1, 2, 3]]
+
+
+def test_input_format_option_is_gone(tmp_path, capsys):
+    # the first character of the input tells the two formats apart
+    path = tmp_path / "k4.g6"
+    path.write_text(emit_graph6(complete_graph(4)))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--k", "1", "--p", "1", "--c", "3", "--format", "graph6", str(path)])
+    assert exit_info.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 def test_pack_command(tmp_path, capsys):
@@ -120,6 +129,10 @@ def test_construct_tree_from_template(tmp_path, capsys):
         code, _, err = run(capsys, "construct", "tree", "--template", str(bad))
         assert code == 2, text
         assert "error" in json.loads(err), text
+    bad.write_text("3 1 3\n0 1 3\n7 2 3\n")
+    code, _, err = run(capsys, "construct", "tree", "--template", str(bad))
+    assert code == 2
+    assert json.loads(err)["error"] == "part 2 has parent 7 out of 0..2"
 
 
 def test_construct_other_kinds(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from ftclique import (
     FTParams,
+    Graph,
     TreeTemplate,
     c2_even_k_construction,
     canonical_form,
@@ -75,9 +76,11 @@ def test_construction_labels_are_pinned():
     for k in range(1, 4):
         for p in range(1, 6):
             for c in range(3, 6):
-                for t in (TreeTemplate.path(p, k, c, newest=False),
+                newest = tuple((0, i, tuple(range(c, c + k))) for i in range(1, p))
+                # the pinned sequence lists the star graph twice
+                for t in (TreeTemplate.star(p, k),
                           TreeTemplate.star(p, k),
-                          TreeTemplate.star(p, k, slots=tuple(range(c, c + k))),
+                          TreeTemplate(p, newest),
                           TreeTemplate.path(p, k, c)):
                     digest.update(emit_edge_list(tree_of_cliques(k, c, t)).encode())
                     count += 1
@@ -158,6 +161,11 @@ def test_contract_validation():
     with pytest.raises(ValueError):
         # the hub has degree 6, not c + k - 1
         contract_neighborhood(g, FTParams(1, 2, 3), 0)
+    # a K4 and a C4 sharing vertex 3, with chord (4, 6): vertex 6 has degree
+    # c + k - 1 = 3, but 3 and 5 in N(6) are not adjacent
+    h = Graph(7, complete_graph(4).edges() + [(3, 4), (4, 5), (5, 6), (6, 3), (4, 6)])
+    with pytest.raises(ValueError, match="not a clique"):
+        contract_neighborhood(h, FTParams(1, 2, 3), 6)
 
 
 def test_contract_warns_outside_k_one():
@@ -220,3 +228,5 @@ def test_c2_regime_guards():
         c2_even_k_construction(4, 2)  # 2p + k = 8 > 2k - 2 = 6
     with pytest.raises(ValueError):
         c2_even_k_construction(2, 1)  # 2p + k = 4 > 2k - 2 = 2
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        c2_even_k_construction(2, 0)

@@ -17,6 +17,7 @@ from ftclique import (
     parse_edge_list,
     parse_graph,
     parse_graph6,
+    star_construction,
 )
 from ftclique.formats import MAX_ORDER, _encode_n
 from helpers import random_graph
@@ -154,14 +155,49 @@ def test_detect_and_generic_entry_points():
     assert detect_format(as_edges) == "edge-list"
     assert detect_format(as_g6) == "graph6"
     assert detect_format(">>graph6<<D~{") == "graph6"
+    assert detect_format("+7 12\n") == "edge-list"
     assert parse_graph(as_edges) == g
     assert parse_graph(as_g6) == g
-    assert parse_graph(as_g6, "graph6") == g
-    with pytest.raises(ValueError):
-        parse_graph(as_g6, "edge-list")
     with pytest.raises(ValueError):
         detect_format("  \n")
     with pytest.raises(ValueError):
-        parse_graph(as_g6, "dot")
-    with pytest.raises(ValueError):
         emit_graph(g, "dot")
+
+
+def _parser_corpus(rng):
+    """Texts on and around both formats: emitted graphs, the same with
+    signed headers, >>graph6<< headers, blank lines and CRLF, each also
+    with one character replaced, and short random strings."""
+    signed = emit_edge_list(star_construction(1, 2, 3))  # "7 12" header
+    yield "+" + signed
+    yield from ("-0 0\n", "+0 0\n", "-1 0\n", ">>graph6<<\n", ">graph6<<D~{")
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(0, 12), rng.random())
+        edges, g6 = emit_edge_list(g), emit_graph6(g)
+        for text in (edges, "+" + edges, "\n  " + edges, edges.replace("\n", "\r\n"),
+                     g6, ">>graph6<<" + g6, " >>graph6<< " + g6, "\t" + g6):
+            yield text
+            i = rng.randrange(len(text))
+            yield text[:i] + rng.choice("0123456789+- \n>?@_~") + text[i + 1:]
+    for _ in range(500):
+        yield "".join(rng.choice("019 +-\n>?@_~") for _ in range(rng.randint(1, 6)))
+
+
+def test_parse_graph_reaches_every_parser_that_accepts_the_text():
+    accepted = {parse_edge_list: [], parse_graph6: []}
+    for text in _parser_corpus(random.Random(2024)):
+        try:
+            got = parse_graph(text)
+        except ValueError:
+            got = None
+        for parse, texts in accepted.items():
+            try:
+                want = parse(text)
+            except ValueError:
+                continue
+            texts.append(text)
+            assert got == want, text
+    edge_lists, g6_lines = accepted[parse_edge_list], accepted[parse_graph6]
+    assert len(edge_lists) > 500 and len(g6_lines) > 500
+    assert sum(t.startswith("+") for t in edge_lists) > 100
+    assert sum(t.lstrip().startswith(">>graph6<<") for t in g6_lines) > 100

@@ -84,6 +84,8 @@ def test_builders():
     assert path_graph(4).edges() == [(0, 1), (1, 2), (2, 3)]
     with pytest.raises(ValueError):
         cycle_graph(2)
+    with pytest.raises(ValueError, match="at least 1 vertex"):
+        path_graph(0)
     u = disjoint_union(complete_graph(3), path_graph(2))
     assert u.n == 5
     assert u.edge_count == 4

@@ -22,7 +22,7 @@ from ftclique import (
     tree_of_cliques,
 )
 from ftclique.graphs import Graph, mask_of, vertex_tuple
-from ftclique.packing import _families
+from ftclique.packing import _families, clique_containing
 from helpers import find_disjoint_cliques_full_peel, packings_exist_bruteforce, random_graph
 
 
@@ -201,6 +201,8 @@ def test_has_clique_containing():
     # restricting the allowed pool can remove every completion
     assert not has_clique_containing(k4, 2, 4, allowed=mask_of([0, 1, 2]))
     assert has_clique_containing(k4, 2, 3, allowed=mask_of([0, 1, 2]))
+    with pytest.raises(ValueError, match="c must be >= 1"):
+        clique_containing(k4, 2, 0)
 
 
 @pytest.mark.parametrize("v, allowed", [(5, 1 << 5), (3, None), (-1, None)])

@@ -669,7 +669,7 @@ def _canon_corpus():
         yield random_graph(rng, n, rng.random())
     for g in (star_construction(1, 2, 3), star_construction(2, 3, 3),
               star_construction(2, 2, 4), tree_of_cliques(2, 3, TreeTemplate.path(3, 2, 3)),
-              tree_of_cliques(1, 3, TreeTemplate.path(3, 1, 3, newest=False))):
+              tree_of_cliques(1, 3, TreeTemplate.star(3, 1))):
         for _ in range(4):
             perm = list(range(g.n))
             rng.shuffle(perm)

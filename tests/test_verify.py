@@ -405,3 +405,17 @@ def test_jobs_and_witness_limits_are_checked():
         verify_ft(g, FTParams(1, 1, 3), jobs=0)
     with pytest.raises(ValueError, match="max_witnesses"):
         verify_ft(g, FTParams(1, 1, 3), max_witnesses=-1)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "2", None])
+def test_non_integer_parameters_are_rejected(bad):
+    for args in ((bad, 2, 3), (1, bad, 3), (1, 2, bad)):
+        with pytest.raises(ValueError, match="integers"):
+            FTParams(*args)
+    # star(1, 2, 3) has 7 subsets, below the parallel threshold, so jobs
+    # would never be used if it were not checked first
+    g, params = star_construction(1, 2, 3), FTParams(1, 2, 3)
+    with pytest.raises(ValueError, match="jobs"):
+        verify_ft(g, params, jobs=bad)
+    with pytest.raises(ValueError, match="max_witnesses"):
+        verify_ft(g, params, max_witnesses=bad)
