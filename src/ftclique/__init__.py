@@ -26,7 +26,7 @@ from .canon import (
     canonical_graph,
     canonical_labeling,
 )
-from .chordal import ChordalityResult, CliqueTree, chordality, find_chordless_cycle
+from .chordal import ChordalityResult, CliqueTree, chordality
 from .connectivity import (
     ConnectivityInfo,
     components,
@@ -123,7 +123,6 @@ __all__ = [
     "emit_graph",
     "emit_graph6",
     "empty_graph",
-    "find_chordless_cycle",
     "find_disjoint_cliques",
     "harary",
     "has_clique_containing",

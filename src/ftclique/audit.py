@@ -352,8 +352,7 @@ def recognize_min_1ft(graph: Graph, p: int, c: int) -> RecognitionResult:
     is a minimum accepted graph for (1, p, c) exactly when it is connected
     and every block is a complete graph on c + 1 vertices. No verification
     scan is run."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    FTParams(1, p, c)  # validates p and c
     if c < 3:
         raise ValueError(f"c must be >= 3, got {c}")
     n = graph.n

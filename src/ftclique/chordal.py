@@ -3,15 +3,19 @@
 A chordal verdict comes with a clique tree (parts = maximal cliques,
 adhesion sets on tree edges); a non-chordal verdict comes with a chordless
 cycle of length >= 4. Either certificate can be replayed against the graph.
+
+Both come from one walk over a maximum cardinality search (MCS) order:
+the test and the path that closes the cycle follow Tarjan and Yannakakis
+(SIAM J. Comput. 13, 1984), the clique tree Blair and Peyton ("An
+introduction to chordal graphs and clique trees", 1993).
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .connectivity import shortest_path
 from .graphs import Graph, bits, vertex_tuple
 
-__all__ = ["CliqueTree", "ChordalityResult", "chordality", "find_chordless_cycle"]
+__all__ = ["CliqueTree", "ChordalityResult", "chordality"]
 
 
 @dataclass(frozen=True)
@@ -56,86 +60,55 @@ def _mcs(graph: Graph) -> tuple[list[int], list[int]]:
     return order, earlier
 
 
-def find_chordless_cycle(graph: Graph) -> tuple[int, ...] | None:
-    """An induced cycle of length >= 4, or None if none exists.
+def chordality(graph: Graph) -> ChordalityResult:
+    """Classify the graph as chordal (clique tree) or not (chordless cycle).
 
-    For each vertex v and non-adjacent pair u, y in N(v), a shortest u-y
-    path avoiding the rest of N[v] closes into a cycle with no chord: the
-    path is shortest inside an induced subgraph, its interior avoids N(v),
-    and u, y are non-adjacent. Every induced cycle is found this way from
-    any three consecutive vertices, so the scan is complete.
+    For each vertex v in MCS order, `last` is its earlier neighbor visited
+    last. An earlier neighbor u not adjacent to `last` proves the graph is
+    not chordal: a shortest u-last path avoiding the rest of N[v] is
+    induced, and with v it closes a chordless cycle. Otherwise v joins the
+    current clique if it has more earlier neighbors than the vertex
+    visited before it, and else opens the clique earlier(v) + v, linked to
+    the clique holding `last` (to clique 0, with an empty adhesion, when v
+    starts a new component).
     """
     n = graph.n
     adj = graph.adj
-    full = graph.full_mask
-    for v in range(n):
-        nb = list(bits(adj[v]))
-        for u, y in combinations(nb, 2):
-            if adj[u] >> y & 1:
-                continue
-            allowed = (full & ~adj[v] & ~(1 << v)) | (1 << u) | (1 << y)
-            path = shortest_path(adj, u, y, allowed)
-            if path is not None:
-                return (v, *path)
-    return None
-
-
-def chordality(graph: Graph) -> ChordalityResult:
-    """Classify the graph as chordal (clique tree) or not (chordless cycle)."""
-    n = graph.n
-    adj = graph.adj
     order, earlier = _mcs(graph)
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-
+    # last_of[w]: w's neighbor visited latest so far. Vertex 0, which MCS
+    # visits first, stands in for none, so a new component links to clique 0.
+    last_of = [0] * n
+    clique_of = [0] * n
+    cliques: list[int] = []
+    links: list[tuple[int, int]] = []
+    visited = prev_size = 0
     for v in order:
         e = earlier[v]
-        if e.bit_count() <= 1:
-            continue
-        # p = the earlier neighbor visited last; all other earlier
-        # neighbors must be adjacent to p, else no perfect elimination
-        # order exists.
-        p = max(bits(e), key=lambda u: pos[u])
-        rest = e & ~(1 << p)
-        if rest & ~adj[p]:
-            cycle = find_chordless_cycle(graph)
+        size = e.bit_count()
+        last = last_of[v]
+        visited |= 1 << v
+        for w in bits(adj[v] & ~visited):
+            last_of[w] = v
+        stray = e & ~adj[last] & ~(1 << last)
+        if stray:
+            u = (stray & -stray).bit_length() - 1
+            allowed = (graph.full_mask & ~adj[v] & ~(1 << v)) | (1 << u) | (1 << last)
+            cycle = (v, *shortest_path(adj, u, last, allowed))
             return ChordalityResult(False, None, cycle)
+        if size > prev_size:
+            cliques[-1] |= 1 << v
+        else:
+            if cliques:
+                links.append((clique_of[last], len(cliques)))
+            cliques.append(e | 1 << v)
+        clique_of[v] = len(cliques) - 1
+        prev_size = size
 
-    # Chordal: candidate cliques {v} + earlier(v); keep the maximal ones.
-    cand = sorted({(1 << v) | earlier[v] for v in range(n)}, key=lambda m: -m.bit_count())
-    kept: list[int] = []
-    for m in cand:
-        if not any(m & ~k == 0 for k in kept):
-            kept.append(m)
-    parts = sorted(vertex_tuple(m) for m in kept)
-    part_masks = [sum(1 << v for v in part) for part in parts]
-
-    # Maximum-weight spanning tree over pairwise intersections; weight-0
-    # edges are allowed so disconnected inputs still get a single tree.
-    q = len(parts)
-    tree_edges: list[tuple[int, int, tuple[int, ...]]] = []
-    if q > 1:
-        pairs = sorted(
-            ((i, j) for i in range(q) for j in range(i + 1, q)),
-            key=lambda ij: (-(part_masks[ij[0]] & part_masks[ij[1]]).bit_count(), ij),
-        )
-        root = list(range(q))
-
-        def find(x: int) -> int:
-            while root[x] != x:
-                root[x] = root[root[x]]
-                x = root[x]
-            return x
-
-        for i, j in pairs:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                root[ri] = rj
-                adhesion = vertex_tuple(part_masks[i] & part_masks[j])
-                tree_edges.append((i, j, adhesion))
-                if len(tree_edges) == q - 1:
-                    break
-
-    tree = CliqueTree(tuple(parts), tuple(sorted(tree_edges)))
+    ranked = sorted(cliques, key=vertex_tuple)
+    rank = {m: r for r, m in enumerate(ranked)}
+    tree_edges = sorted(
+        (*sorted((rank[cliques[i]], rank[cliques[j]])), vertex_tuple(cliques[i] & cliques[j]))
+        for i, j in links
+    )
+    tree = CliqueTree(tuple(map(vertex_tuple, ranked)), tuple(tree_edges))
     return ChordalityResult(True, tree, None)

@@ -34,6 +34,8 @@ class CliquePacking:
 
 
 def _check_params(p: int, c: int) -> None:
+    if not type(p) is type(c) is int:  # bool too
+        raise ValueError(f"p and c must be integers, got {p!r}, {c!r}")
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     if c < 2:
@@ -173,6 +175,8 @@ def clique_containing(graph: Graph, v: int, c: int, allowed: int | None = None) 
     """Mask of the lexicographically first c-clique through v drawn from the
     `allowed` mask, or None if there is none."""
     graph._check_vertex(v)
+    if type(c) is not int:  # bool too
+        raise ValueError(f"c must be an integer, got {c!r}")
     if c < 1:
         raise ValueError(f"c must be >= 1, got {c}")
     adj = graph.adj

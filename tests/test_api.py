@@ -27,12 +27,14 @@ def test_module_exports_resolve(name):
 @pytest.mark.parametrize("owner, name", [
     ("ftclique", "DEFAULT_SIZE_LIMIT"),
     ("ftclique", "SizeLimitError"),
+    ("ftclique", "find_chordless_cycle"),
     ("ftclique", "GraphDocument"),
     ("ftclique", "MinimumCandidacy"),
     ("ftclique", "is_minimum_candidate"),
     ("ftclique", "matches_gluing_profile"),
     ("ftclique.canon", "DEFAULT_SIZE_LIMIT"),
     ("ftclique.canon", "SizeLimitError"),
+    ("ftclique.chordal", "find_chordless_cycle"),
     ("ftclique.construct", "matches_gluing_profile"),
     ("ftclique.formats", "GraphDocument"),
     ("ftclique.search", "EXHAUSTIVE_ORDER_LIMIT"),

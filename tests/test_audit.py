@@ -375,6 +375,15 @@ def test_recognize_parameter_validation():
         recognize_min_1ft(complete_graph(4), 1, 2)
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "2", None])
+def test_recognize_rejects_non_integer_parameters(bad):
+    # recognize_min_1ft(g, 2.0, 3) used to accept the (1,2,3) hub graph
+    g = star_construction(1, 2, 3)
+    for p, c in ((bad, 3), (2, bad)):
+        with pytest.raises(ValueError, match="integers"):
+            recognize_min_1ft(g, p, c)
+
+
 def test_recognizer_matches_verification_and_bound():
     # on the critical order for k = 1, acceptance at the bound edge count
     # is equivalent to the recognizer's block condition; exercise both

@@ -38,6 +38,7 @@ def test_components_and_is_connected():
     assert not is_connected(g)
     assert is_connected(cycle_graph(5))
     assert components(empty_graph(0)) == []
+    assert is_connected(empty_graph(0))
     assert is_connected(empty_graph(1))
     assert not is_connected(empty_graph(2))
 

@@ -69,6 +69,20 @@ def test_parameter_validation():
         find_disjoint_cliques(complete_graph(3), 1, 1)
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "2", None])
+def test_non_integer_parameters_are_rejected(bad):
+    # at p = 1.5 the packer recursed without end, at p = True it packed one
+    # clique, and clique_containing(g, 0, True) returned the mask 1
+    g = star_construction(1, 2, 3)
+    for p, c in ((bad, 3), (2, bad)):
+        with pytest.raises(ValueError, match="integers"):
+            find_disjoint_cliques(g, p, c)
+        with pytest.raises(ValueError, match="integers"):
+            oracle_packing_exists(g, p, c)
+    with pytest.raises(ValueError, match="integer"):
+        clique_containing(g, 0, bad)
+
+
 def test_oracle_budget_guard():
     g = complete_graph(13)
     with pytest.raises(OracleBudgetError):
@@ -201,6 +215,8 @@ def test_has_clique_containing():
     # restricting the allowed pool can remove every completion
     assert not has_clique_containing(k4, 2, 4, allowed=mask_of([0, 1, 2]))
     assert has_clique_containing(k4, 2, 3, allowed=mask_of([0, 1, 2]))
+    # a v outside the allowed pool lies in no clique drawn from it
+    assert clique_containing(k4, 2, 2, allowed=mask_of([0, 1, 3])) is None
     with pytest.raises(ValueError, match="c must be >= 1"):
         clique_containing(k4, 2, 0)
 
