@@ -4,11 +4,26 @@ Both connectivity numbers come from one unit-capacity max flow on bitmask
 arcs (`_max_flow`), which augments along shortest residual paths that a
 layered BFS over masks finds (`_augmenting_path`). `shortest_path` is the
 plain BFS that chordality uses for its chordless cycles.
+
+The flow sets are Esfahanian-Hakimi's for the vertex number (Networks 14,
+1984) and Matula's for the edge number (FOCS 1987), and a flow runs only
+where it can lower the best value so far:
+- Floors. A disconnected graph gives 0 without a flow, and a scan stops
+  once its best value is 1. `connectivity` takes no edge flow when the
+  vertex connectivity equals the minimum degree, since Whitney's
+  kappa <= lambda <= delta (Amer. J. Math. 54, 1932) then pins lambda.
+- Certificates. The common neighbors of s and t are internally disjoint
+  s-t paths, so a pair with at least the best value of them is skipped.
+- Orders. The targets of v0 come in order of fewest common neighbors
+  with v0, so a small cut is found first and the later targets pass on
+  their certificate; the dominating set takes vertices by decreasing
+  degree, so a hub dominates alone.
 """
 
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 from .graphs import Graph, bits, vertex_tuple
 
@@ -154,31 +169,41 @@ def edge_connectivity(graph: Graph) -> int:
 
     0 for disconnected or trivial graphs. Each edge is an arc of capacity
     1 in both directions. D is a greedy maximal independent set (scan the
-    vertices, take each one that no taken vertex covers), so D dominates
-    the graph, and the answer is the minimum degree or the least max flow
-    from D's first vertex to another vertex of D, whichever is smaller
-    (D. W. Matula, "Determining edge connectivity in O(nm)", FOCS 1987).
-    A cut with fewer edges than the minimum degree delta has more than
-    delta vertices on each side, since s <= delta vertices of minimum
-    degree delta send at least s(delta - s + 1) >= delta edges out of
-    their side. So each side holds a vertex with no cut edge, whose closed
-    neighborhood stays on its side and meets D. Each flow stops at the
-    best value so far, which starts at delta (Whitney: vertex <= edge
-    connectivity <= minimum degree); a vertex of D in another component
-    gets flow 0.
+    vertices by decreasing degree, ties by label, and take each one that no
+    taken vertex covers), so D dominates the graph, and the answer is the
+    minimum degree or the least max flow from D's first vertex s to another
+    vertex of D, whichever is smaller (D. W. Matula, "Determining edge
+    connectivity in O(nm)", FOCS 1987). A cut with fewer edges than the
+    minimum degree delta has more than delta vertices on each side, since
+    j <= delta vertices of minimum degree delta send at least
+    j(delta - j + 1) >= delta edges out of their side. So each side holds
+    a vertex with no cut edge, whose closed neighborhood stays on its side
+    and meets D. The degree order lets a hub dominate alone.
+
+    The best value starts at delta (Whitney: vertex <= edge connectivity
+    <= minimum degree), each flow stops at it, and the scan stops once it
+    is 1. A flow runs only where it can lower the best: s and t are not
+    adjacent, and their common neighbors already carry that many
+    edge-disjoint s-t paths.
     """
-    if graph.n <= 1:
+    n = graph.n
+    if n <= 1 or not is_connected(graph):
         return 0
     adj = graph.adj
+    degrees = graph.degrees()
     dominating = []
     covered = 0
-    for v in range(graph.n):
+    for v in sorted(range(n), key=lambda v: -degrees[v]):
         if not covered >> v & 1:
             dominating.append(v)
             covered |= adj[v] | 1 << v
-    best = min(graph.degrees())
+    s = dominating[0]
+    best = min(degrees)
     for t in dominating[1:]:
-        best = _max_flow(adj, dominating[0], t, best)
+        if best == 1:
+            break
+        if (adj[s] & adj[t]).bit_count() < best:
+            best = _max_flow(adj, s, t, best)
     return best
 
 
@@ -195,21 +220,31 @@ def vertex_connectivity(graph: Graph) -> int:
     of graphs and digraphs", Networks 14, 1984): a minimum separator that
     misses v0 splits it from a non-neighbor, and one that contains v0
     misses two non-adjacent neighbors of v0 in different components.
-    Each flow stops at the best value so far, which starts at the minimum
-    degree.
+
+    The best value starts at the minimum degree, each flow stops at it,
+    and the scan stops once it is 1. A flow between s and t runs only when
+    they have fewer common neighbors than the best, since each common
+    neighbor is an s-t path of its own. The non-neighbors of v0 come in
+    order of fewest common neighbors with v0, so a small cut is found
+    early and the later targets pass on that certificate.
     """
     n = graph.n
-    if n <= 1:
+    if n <= 1 or not is_connected(graph):
         return 0
     adj = graph.adj
     arcs = [1 << (v + n) for v in range(n)] + list(adj)
     v0 = min(range(n), key=lambda v: adj[v].bit_count())
-    best = adj[v0].bit_count()
-    for t in bits(graph.full_mask & ~adj[v0] & ~(1 << v0)):
-        best = _max_flow(arcs, v0 + n, t, best)
-    for x in bits(adj[v0]):
-        for y in bits(adj[v0] & ~adj[x] & ~((2 << x) - 1)):
-            best = _max_flow(arcs, x + n, y, best)
+    near = adj[v0]
+    best = near.bit_count()
+    cut_first = sorted(bits(graph.full_mask & ~near & ~(1 << v0)),
+                       key=lambda t: (adj[t] & near).bit_count())
+    pairs = chain(((v0, t) for t in cut_first),
+                  ((x, y) for x in bits(near) for y in bits(near & ~adj[x] & ~((2 << x) - 1))))
+    for s, t in pairs:
+        if best == 1:
+            break
+        if (adj[s] & adj[t]).bit_count() < best:
+            best = _max_flow(arcs, s + n, t, best)
     return best
 
 
@@ -221,8 +256,15 @@ class ConnectivityInfo:
 
 
 def connectivity(graph: Graph) -> ConnectivityInfo:
-    """Components plus both connectivity numbers (0 when disconnected)."""
+    """Components plus both connectivity numbers (0 when disconnected).
+
+    When the vertex connectivity equals the minimum degree, Whitney's
+    kappa <= lambda <= delta gives the edge connectivity without a flow.
+    """
     comps = tuple(components(graph))
     if len(comps) != 1:
         return ConnectivityInfo(comps, 0, 0)
-    return ConnectivityInfo(comps, vertex_connectivity(graph), edge_connectivity(graph))
+    kappa = vertex_connectivity(graph)
+    if kappa == min(graph.degrees()):
+        return ConnectivityInfo(comps, kappa, kappa)
+    return ConnectivityInfo(comps, kappa, edge_connectivity(graph))

@@ -1,10 +1,11 @@
 """Graph serialization: a plain edge-list format and graph6.
 
-Edge list: first line "n m", then m lines "u v" with 0 <= u < v < n, no
-duplicates, no self-loops. graph6 follows the published byte layout (the
-upper triangle of the adjacency matrix read column by column, packed into
-6-bit groups offset by 63) and parsing is bit-exact: bad bytes, nonzero
-padding and trailing garbage are rejected.
+Edge list: first line "n m", then m lines "u v" with 0 <= u, v < n in
+either order (emitted with u < v), no duplicates, no self-loops. graph6
+follows the published byte layout (the upper triangle of the adjacency
+matrix read column by column, packed into 6-bit groups offset by 63) and
+parsing is bit-exact: bad bytes, nonzero padding and trailing garbage are
+rejected.
 """
 
 from .graphs import Graph
@@ -43,8 +44,7 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError(f"order {n} in header exceeds the supported {MAX_ORDER}")
     if len(lines) - 1 != m:
         raise ValueError(f"header promises {m} edges, found {len(lines) - 1} lines")
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    adj = [0] * n
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
@@ -57,12 +57,11 @@ def parse_edge_list(text: str) -> Graph:
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
+        if adj[u] >> v & 1:
             raise ValueError(f"duplicate edge ({u}, {v})")
-        seen.add(key)
-        edges.append(key)
-    return Graph(n, edges)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph._from_adj(n, tuple(adj))
 
 
 def emit_edge_list(graph: Graph) -> str:

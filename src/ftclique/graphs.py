@@ -53,10 +53,14 @@ class Graph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        if type(n) is not int:  # bool too
+            raise ValueError(f"vertex count must be an int, got {n!r}")
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         adj = [0] * n
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
@@ -110,6 +114,8 @@ class Graph:
         return out
 
     def _check_vertex(self, v: int) -> None:
+        if type(v) is not int:  # bool too
+            raise ValueError(f"vertex {v!r} is not an int")
         if not (0 <= v < self.n):
             raise ValueError(f"vertex {v} out of range for n={self.n}")
 

@@ -101,11 +101,13 @@ def test_flow_cancels_units_on_reverse_arcs():
     assert _max_flow(_split_arcs(g), 3 + g.n, 7) == 2
 
 
-def test_flows_stop_at_the_best_value_so_far(monkeypatch):
-    # path(2,6,4): kappa = 2, lambda = minimum degree = 5
+def _counting_flows(monkeypatch):
+    """Record the arguments of every max flow and augmenting-path search."""
     module = importlib.import_module("ftclique.connectivity")
     rounds = []
     flows = []
+    augmenting_path = module._augmenting_path
+    max_flow = module._max_flow
 
     def counting_rounds(*args):
         rounds.append(args)
@@ -115,35 +117,143 @@ def test_flows_stop_at_the_best_value_so_far(monkeypatch):
         flows.append(args)
         return max_flow(*args)
 
-    augmenting_path = module._augmenting_path
-    max_flow = module._max_flow
     monkeypatch.setattr(module, "_augmenting_path", counting_rounds)
     monkeypatch.setattr(module, "_max_flow", counting_flows)
+    return flows, rounds
+
+
+def _shuffled(g: Graph, seed: int) -> Graph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return relabeled(g, perm)
+
+
+def test_flows_stop_at_the_best_value_so_far(monkeypatch):
+    flows, rounds = _counting_flows(monkeypatch)
+    # path(2,6,4): kappa = 2, lambda = minimum degree = 5
     g = tree_of_cliques(2, 4, TreeTemplate.path(6, 2, 4))
     delta = min(g.degrees())
     assert edge_connectivity(g) == delta == 5
-    # the greedy dominating set is 0 and the first fresh vertex of each
-    # later clique; every flow from 0 stops at delta without a failing search
-    assert [args[1:3] for args in flows] == [(0, t) for t in (6, 10, 14, 18, 22)]
+    # The dominating set, scanned by decreasing degree, is 4, 12 and 20
+    # (in label order it had 6 vertices); each flow stops at delta without
+    # a failing search.
+    assert len(flows) == 2
     assert len(rounds) == delta * len(flows)
     rounds.clear()
     flows.clear()
     assert vertex_connectivity(g) == 2
-    v0 = g.degrees().index(delta)
-    neighbors = list(bits(g.adj[v0]))
-    # Esfahanian-Hakimi: v0 to each non-neighbor, then each non-adjacent
-    # pair of N(v0)
-    pairs = (g.n - delta - 1) + sum(not g.has_edge(x, y)
-                                    for i, x in enumerate(neighbors)
-                                    for y in neighbors[i + 1:])
-    assert len(flows) == pairs == 20
+    # Esfahanian-Hakimi has 20 pairs here; 4 of them share at least the
+    # best value in common neighbors.
+    assert len(flows) == 16
     # once the best is 2 a pair costs at most 2 rounds; a flow run to its
     # maximum 2 costs 3, one of them the search that finds no path
-    assert len(rounds) <= 2 * pairs + delta + 1 < 3 * pairs
+    assert len(rounds) <= 2 * len(flows) + delta + 1 < 3 * len(flows)
+    # path(1,12,3) relabeled: the first target of v0 shares no neighbor with
+    # it and finds the cutvertex, so the scan stops at 1 after one flow.
+    g = _shuffled(tree_of_cliques(1, 3, TreeTemplate.path(12, 1, 3)), 1)
     flows.clear()
-    # the hub vertex 0 of star(2,12,3) dominates, so no flow runs
-    assert edge_connectivity(star_construction(2, 12, 3)) == 4
+    assert vertex_connectivity(g) == 1
+    assert len(flows) == 1
+    flows.clear()
+    assert edge_connectivity(g) == 3
+    assert len(flows) == 5
+    # star(2,12,3) relabeled: one vertex flow, and a hub vertex, scanned
+    # first for its degree, dominates alone, so no edge flow runs.
+    g = _shuffled(star_construction(2, 12, 3), 1)
+    flows.clear()
+    assert vertex_connectivity(g) == 2
+    assert len(flows) == 1
+    flows.clear()
+    assert edge_connectivity(g) == 4
     assert flows == []
+
+
+def test_connected_floor_stops_at_one(monkeypatch):
+    # A path has minimum degree 1, so no flow runs. Two K_4 joined by a
+    # bridge: the first flow of each scan finds 1 and ends it.
+    flows, _ = _counting_flows(monkeypatch)
+    g = path_graph(9)
+    assert vertex_connectivity(g) == 1
+    assert edge_connectivity(g) == 1
+    assert flows == []
+    g = Graph(8, complete_graph(4).edges() + [(u + 4, v + 4) for u, v in complete_graph(4).edges()]
+              + [(3, 4)])
+    assert vertex_connectivity(g) == 1
+    assert edge_connectivity(g) == 1
+    assert len(flows) == 2
+
+
+def test_disconnected_inputs_run_no_flow(monkeypatch):
+    flows, _ = _counting_flows(monkeypatch)
+    for g in (disjoint_union(complete_graph(5), complete_graph(5)),
+              disjoint_union(cycle_graph(6), empty_graph(1)),
+              empty_graph(3), empty_graph(1), empty_graph(0)):
+        assert vertex_connectivity(g) == edge_connectivity(g) == 0
+        info = connectivity(g)
+        assert (info.vertex_connectivity, info.edge_connectivity) == (0, 0)
+    assert flows == []
+
+
+def test_kappa_at_the_minimum_degree_pins_lambda(monkeypatch):
+    # Whitney: kappa <= lambda <= delta, so kappa == delta needs no edge flow.
+    module = importlib.import_module("ftclique.connectivity")
+    calls = []
+    monkeypatch.setattr(module, "edge_connectivity", lambda g: calls.append(g))
+    for g, value in ((complete_graph(5), 4), (cycle_graph(7), 2),
+                     (star_construction(2, 1, 3), 4)):
+        info = connectivity(g)
+        assert (info.vertex_connectivity, info.edge_connectivity) == (value, value)
+    assert calls == []
+    # path(1,12,3) has kappa = 1 below delta = 3, so lambda takes its flows.
+    connectivity(tree_of_cliques(1, 3, TreeTemplate.path(12, 1, 3)))
+    assert len(calls) == 1
+
+
+def test_certificate_at_the_boundary_leaves_the_smaller_cut(monkeypatch):
+    # 0 and 4 are non-adjacent and share exactly delta = 3 neighbors
+    # {1, 2, 3}, so their vertex flow is skipped from the start; the cut
+    # {1, 2} to the K_5 on 5..9 is smaller and must still be found.
+    edges = [(0, 1), (0, 2), (0, 3), (4, 1), (4, 2), (4, 3), (1, 2), (1, 3), (2, 3),
+             (1, 5), (2, 6)]
+    edges += [(5 + i, 5 + j) for i in range(5) for j in range(i + 1, 5)]
+    g = Graph(10, edges)
+    assert min(g.degrees()) == g.degree(0) == 3
+    assert (g.adj[0] & g.adj[4]).bit_count() == 3 and not g.has_edge(0, 4)
+    flows, _ = _counting_flows(monkeypatch)
+    assert vertex_connectivity(g) == vertex_connectivity_bruteforce(g) == 2
+    assert (g.n, 4) not in [args[1:3] for args in flows]  # out-node of 0 to 4
+    # The edge cut {1-5, 2-6} is 2 below delta; the dominating set scanned
+    # by degree starts at 1 and holds 4, which shares 2 neighbors with 1.
+    assert edge_connectivity(g) == edge_connectivity_bruteforce(g) == 2
+    for seed in range(20):
+        h = _shuffled(g, seed)
+        assert vertex_connectivity(h) == 2
+        assert edge_connectivity(h) == 2
+
+
+def test_matches_bruteforce_on_every_graph_up_to_five_vertices():
+    for n in range(6):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for mask in range(1 << len(pairs)):
+            g = Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            kappa = vertex_connectivity_bruteforce(g)
+            lam = edge_connectivity_bruteforce(g)
+            assert vertex_connectivity(g) == kappa
+            assert edge_connectivity(g) == lam
+            info = connectivity(g)
+            assert (info.vertex_connectivity, info.edge_connectivity) == (kappa, lam)
+
+
+def test_matches_networkx_on_seeded_random_graphs():
+    rng = random.Random(2026)
+    for _ in range(2000):
+        n = rng.randint(6, 30)
+        g = random_graph(rng, n, rng.uniform(0.05, 0.5))
+        nxg = nx.Graph(g.edges())
+        nxg.add_nodes_from(range(n))
+        info = connectivity(g)
+        assert info.vertex_connectivity == nx.node_connectivity(nxg)
+        assert info.edge_connectivity == nx.edge_connectivity(nxg)
 
 
 def test_minimum_degree_vertex_in_every_minimum_separator():

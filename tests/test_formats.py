@@ -56,6 +56,32 @@ def test_edge_list_strictness():
         parse_edge_list("3 1\n0 x\n")  # edge not integers
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "empty edge-list input"),
+    ("3\n", "malformed header '3'; expected 'n m'"),
+    ("a 1\n0 1\n", "malformed header 'a 1'; expected integers"),
+    ("-3 0\n", "negative counts in header '-3 0'"),
+    (f"{MAX_ORDER + 1} 0\n", f"order {MAX_ORDER + 1} in header exceeds the supported {MAX_ORDER}"),
+    ("3 2\n0 1\n", "header promises 2 edges, found 1 lines"),
+    ("3 1\n0 1 2\n", "malformed edge line '0 1 2'"),
+    ("3 1\n0 x\n", "malformed edge line '0 x'"),
+    ("3 1\n0 3\n", "edge (0, 3) out of range for n=3"),
+    ("3 1\n-1 2\n", "edge (-1, 2) out of range for n=3"),
+    ("3 1\n1 1\n", "self-loop at vertex 1"),
+    ("3 2\n0 1\n0 1\n", "duplicate edge (0, 1)"),
+    ("3 2\n0 1\n1 0\n", "duplicate edge (1, 0)"),
+    ("3 2\n2 1\n1 2\n", "duplicate edge (1, 2)"),
+])
+def test_edge_list_error_messages(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_edge_list(text)
+    assert str(info.value) == message
+
+
+def test_edge_list_takes_either_orientation():
+    assert parse_edge_list("4 3\n2 0\n1 3\n0 1\n") == Graph(4, [(0, 1), (0, 2), (1, 3)])
+
+
 def test_graph6_known_encodings():
     assert emit_graph6(complete_graph(5)).strip() == "D~{"
     assert parse_graph6("D~{") == complete_graph(5)

@@ -12,8 +12,10 @@ from ftclique import (
     empty_graph,
     path_graph,
     relabeled,
+    star_construction,
 )
 from ftclique.graphs import bits, mask_of, vertex_tuple
+from ftclique.packing import clique_containing
 
 
 def test_mask_helpers_round_trip():
@@ -43,6 +45,31 @@ def test_rejects_bad_edges():
         Graph(3, [(0, 3)])
     with pytest.raises(ValueError):
         Graph(-1, [])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Graph(3, [(True, 2)]),
+    lambda: Graph(3, [(0, 1.0)]),
+    lambda: Graph(3.0, []),
+    lambda: Graph(True, []),
+], ids=["bool-endpoint", "float-endpoint", "float-order", "bool-order"])
+def test_rejects_vertices_that_are_not_ints(build):
+    with pytest.raises(ValueError, match="int"):
+        build()
+
+
+@pytest.mark.parametrize("query", [
+    lambda g: g.has_edge(0, 1.5),
+    lambda g: g.has_edge(False, 1),
+    lambda g: g.degree(1.0),
+    lambda g: g.neighborhood(True),
+    lambda g: g.is_clique([0, 1.0]),
+    lambda g: clique_containing(g, True, 3),
+], ids=["has_edge-float", "has_edge-bool", "degree", "neighborhood", "is_clique",
+        "clique_containing"])
+def test_queries_reject_vertices_that_are_not_ints(query):
+    with pytest.raises(ValueError, match="is not an int"):
+        query(star_construction(1, 2, 3))
 
 
 def test_set_neighborhoods():
