@@ -3,7 +3,10 @@
 Audits target graphs at the critical order p*c + k with c >= 3, where the
 theory pins down degrees, local cliques, and how size-k separators split
 the graph. Premise violations raise; property violations come back as
-failing records with replayable witnesses.
+failing records with replayable witnesses. A record passes exactly when
+it has no witness, and its witness is the first violation in the order
+its check states: vertices by label, separators and deletion sets in
+lexicographic order, components by least vertex.
 """
 
 from dataclasses import asdict, dataclass
@@ -58,6 +61,10 @@ class AuditReport:
         return {"passed": self.passed, "records": [asdict(r) for r in self.records]}
 
 
+def _record(check: str, rule: str, witness: dict | None) -> AuditRecord:
+    return AuditRecord(check, rule, witness is None, witness)
+
+
 def vertex_without_surviving_clique(graph: Graph, k: int, c: int) -> int | None:
     """First vertex that some deletion of min(k, deg v) of its neighbors
     leaves in no c-clique, or None.
@@ -72,6 +79,8 @@ def vertex_without_surviving_clique(graph: Graph, k: int, c: int) -> int | None:
 
     The c-cliques through v found so far are kept as masks, and a clique
     search runs only for a deletion set that meets every one of them."""
+    if type(k) is not int or k < 0:  # bool too
+        raise ValueError(f"k must be >= 0 and an int, got {k!r}")
     full = graph.full_mask
     for v in range(graph.n):
         nbrs = vertex_tuple(graph.adj[v])
@@ -87,6 +96,16 @@ def vertex_without_surviving_clique(graph: Graph, k: int, c: int) -> int | None:
     return None
 
 
+def _non_adjacent_pair(graph: Graph, mask: int) -> tuple[int, int] | None:
+    """Lexicographically first non-adjacent pair of the vertices in mask,
+    or None when they form a clique."""
+    for a in bits(mask):
+        later = mask & ~graph.adj[a] & -(2 << a)  # non-neighbors above a
+        if later:
+            return a, (later & -later).bit_length() - 1
+    return None
+
+
 def tight_vertex_with_open_closure(graph: Graph, floor: int) -> int | None:
     """First vertex of degree exactly floor whose closed neighborhood is not
     a clique, or None.
@@ -96,7 +115,7 @@ def tight_vertex_with_open_closure(graph: Graph, floor: int) -> int | None:
     every pair of its neighbors is adjacent."""
     for v in range(graph.n):
         nbrs = graph.adj[v]
-        if nbrs.bit_count() == floor and not graph.is_clique(bits(nbrs | 1 << v)):
+        if nbrs.bit_count() == floor and _non_adjacent_pair(graph, nbrs | 1 << v):
             return v
     return None
 
@@ -122,44 +141,28 @@ def audit_basic(graph: Graph, params: FTParams) -> AuditReport:
             f"surviving-clique scan needs {scans} deletion sets; cap is {_SWEEP_CAP}"
         )
     floor = degree_floor(k, c)
-    records: list[AuditRecord] = []
 
     v = vertex_below_floor(graph, floor)
-    witness = None
-    if v is not None:
-        witness = {"vertex": v, "degree": graph.degree(v), "required": floor}
-    records.append(AuditRecord(
-        "min-degree",
-        f"every vertex has degree >= c + k - 1 = {floor}",
-        witness is None,
-        witness,
-    ))
+    below = None if v is None else {"vertex": v, "degree": graph.degree(v), "required": floor}
 
     v = vertex_without_surviving_clique(graph, 0, c)
-    witness = None if v is None else {"vertex": v}
-    records.append(AuditRecord(
-        "vertex-clique",
-        f"every vertex lies in some {c}-clique",
-        witness is None,
-        witness,
-    ))
+    cliqueless = None if v is None else {"vertex": v}
 
     v = vertex_without_surviving_clique(graph, k, c)
-    witness = None
+    stranded = None
     if v is not None:
         # the least failing set of k other vertices, as a full scan reports it
         others = [u for u in range(n) if u != v]
         s = next(s for s in combinations(others, k) if not has_clique_containing(
             graph, v, c, graph.full_mask & ~mask_of(s)))
-        witness = {"vertex": v, "deleted": list(s)}
-    records.append(AuditRecord(
-        "surviving-clique",
-        f"every vertex lies in a {c}-clique after deleting any {k} other "
-        "vertices (all deletion sets per vertex)",
-        witness is None,
-        witness,
+        stranded = {"vertex": v, "deleted": list(s)}
+
+    return AuditReport((
+        _record("min-degree", f"every vertex has degree >= c + k - 1 = {floor}", below),
+        _record("vertex-clique", f"every vertex lies in some {c}-clique", cliqueless),
+        _record("surviving-clique", f"every vertex lies in a {c}-clique after deleting "
+                f"any {k} other vertices (all deletion sets per vertex)", stranded),
     ))
-    return AuditReport(tuple(records))
 
 
 def audit_low_degree_cliques(graph: Graph, params: FTParams) -> AuditReport:
@@ -168,53 +171,32 @@ def audit_low_degree_cliques(graph: Graph, params: FTParams) -> AuditReport:
     _require_critical(graph, params)
     k, c = params.k, params.c
     floor = degree_floor(k, c)
-    records: list[AuditRecord] = []
 
-    witness = None
     v = tight_vertex_with_open_closure(graph, floor)
+    open_closure = None
     if v is not None:
-        pair = _non_adjacent_pair(graph, vertex_tuple(graph.adj[v] | (1 << v)))
-        witness = {"vertex": v, "non_adjacent_pair": list(pair)}
-    records.append(AuditRecord(
-        "tight-degree-closed-clique",
-        f"every vertex of degree exactly {floor} has a clique closed "
-        f"neighborhood (a K_{c + k})",
-        witness is None,
-        witness,
+        pair = _non_adjacent_pair(graph, graph.adj[v] | 1 << v)
+        open_closure = {"vertex": v, "non_adjacent_pair": list(pair)}
+
+    return AuditReport((
+        _record("tight-degree-closed-clique", f"every vertex of degree exactly {floor} "
+                f"has a clique closed neighborhood (a K_{c + k})", open_closure),
+        _record("sealed-small-component", f"for every separating {k}-set whose removal "
+                f"leaves a component of order exactly {c}, that component plus the "
+                "separator is a clique", _unsealed_small_component(graph, k, c)),
     ))
 
-    witness = None
+
+def _unsealed_small_component(graph: Graph, k: int, c: int) -> dict | None:
     for w, comps in _separations(graph, k):
-        w_mask = mask_of(w)
         for comp in comps:
             if comp.bit_count() != c:
                 continue
-            sealed = vertex_tuple(comp | w_mask)
-            if not graph.is_clique(sealed):
-                pair = _non_adjacent_pair(graph, sealed)
-                witness = {
-                    "separator": list(w),
-                    "component": list(vertex_tuple(comp)),
-                    "non_adjacent_pair": list(pair),
-                }
-                break
-        if witness:
-            break
-    records.append(AuditRecord(
-        "sealed-small-component",
-        f"for every separating {k}-set whose removal leaves a component of "
-        f"order exactly {c}, that component plus the separator is a clique",
-        witness is None,
-        witness,
-    ))
-    return AuditReport(tuple(records))
-
-
-def _non_adjacent_pair(graph: Graph, vertices: tuple[int, ...]) -> tuple[int, int]:
-    for a, b in combinations(vertices, 2):
-        if not graph.has_edge(a, b):
-            return a, b
-    raise AssertionError("called on a clique")
+            pair = _non_adjacent_pair(graph, comp | mask_of(w))
+            if pair:
+                return {"separator": list(w), "component": list(vertex_tuple(comp)),
+                        "non_adjacent_pair": list(pair)}
+    return None
 
 
 @lru_cache(maxsize=1)
@@ -239,8 +221,8 @@ def _separations(graph: Graph, k: int) -> tuple[tuple[tuple[int, ...], tuple[int
 
 def size_k_separators(graph: Graph, k: int) -> list[tuple[int, ...]]:
     """All k-subsets whose removal leaves a disconnected graph."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    if type(k) is not int or k < 0:  # bool too
+        raise ValueError(f"k must be >= 0 and an int, got {k!r}")
     return [w for w, _ in _separations(graph, k)]
 
 
@@ -254,7 +236,11 @@ def audit_separator(graph: Graph, params: FTParams, separator) -> AuditReport:
     k, p, c = params.k, params.p, params.c
     if k >= c:
         raise ValueError(f"separator audits require k < c, got k={k}, c={c}")
-    w = tuple(sorted(separator))
+    try:
+        w = tuple(sorted(separator))
+    except TypeError:
+        raise ValueError(
+            f"separator must be a collection of vertices, got {separator!r}") from None
     for v in w:
         graph._check_vertex(v)
     if len(w) != k or len(set(w)) != k:
@@ -264,78 +250,47 @@ def audit_separator(graph: Graph, params: FTParams, separator) -> AuditReport:
     if len(comps) < 2:
         raise ValueError(f"{w} does not disconnect the graph")
 
-    records: list[AuditRecord] = []
-    comp_sets = [vertex_tuple(m) for m in comps]
-
-    witness = None
-    for cs in comp_sets:
-        if len(cs) % c != 0 or len(cs) == 0:
-            witness = {"component": list(cs), "order": len(cs), "modulus": c}
-            break
-    records.append(AuditRecord(
-        "component-size-multiple",
-        f"every component of the split has order a positive multiple of {c}",
-        witness is None,
-        witness,
-    ))
-
-    shares = [len(cs) // c for cs in comp_sets]
-    ok = sum(shares) == p and all(len(cs) % c == 0 for cs in comp_sets)
-    records.append(AuditRecord(
-        "share-total",
-        f"component clique shares sum to p = {p}",
-        ok,
-        None if ok else {"shares": shares},
-    ))
-
-    witness = None
-    for idx, cs in enumerate(comp_sets):
-        if len(cs) % c != 0 or len(cs) == 0:
+    # (vertices, share, remainder) of each component, by least vertex
+    split = [(vertex_tuple(m), *divmod(m.bit_count(), c)) for m in comps]
+    uneven = next(({"component": list(cs), "order": len(cs), "modulus": c}
+                   for cs, _, rest in split if rest), None)
+    shares = [share for _, share, _ in split]
+    unaccepted = None
+    for cs, share, rest in split:
+        if rest:
             continue
+        # the piece has its critical order share*c + k, so a failing
+        # verdict names its least failing deletion set
         piece, kept = graph.induced(cs + w)
-        verdict = verify_ft(piece, FTParams(k, len(cs) // c, c))
+        verdict = verify_ft(piece, FTParams(k, share, c))
         if not verdict.holds:
-            cx = None
-            if verdict.counterexample is not None:
-                cx = [kept[v] for v in verdict.counterexample]
-            witness = {"component": list(cs), "counterexample": cx}
+            cx = [kept[v] for v in verdict.counterexample]
+            unaccepted = {"component": list(cs), "counterexample": cx}
             break
-    records.append(AuditRecord(
-        "piece-fault-tolerance",
-        "every component plus the separator is itself accepted for its share",
-        witness is None,
-        witness,
-    ))
-
-    witness = None
-    for x in w:
-        for cs in comp_sets:
-            pool = mask_of(cs) | (1 << x)
-            if not has_clique_containing(graph, x, c, pool):
-                witness = {"separator_vertex": x, "component": list(cs)}
-                break
-        if witness:
-            break
-    records.append(AuditRecord(
-        "anchored-clique",
-        f"every separator vertex completes a {c}-clique inside each component",
-        witness is None,
-        witness,
-    ))
-
-    witness = None
-    for cs in comp_sets:
+    anchorless = next((
+        {"separator_vertex": x, "component": list(cs)}
+        for x in w for cs, _, _ in split
+        if not has_clique_containing(graph, x, c, mask_of(cs) | 1 << x)
+    ), None)
+    partial = None
+    for cs, _, _ in split:
         seen = graph.neighborhood_mask(mask_of(cs))
         if seen != w_mask:
-            witness = {"component": list(cs), "neighborhood": list(vertex_tuple(seen))}
+            partial = {"component": list(cs), "neighborhood": list(vertex_tuple(seen))}
             break
-    records.append(AuditRecord(
-        "full-components",
-        "every component is adjacent to the entire separator",
-        witness is None,
-        witness,
+
+    return AuditReport((
+        _record("component-size-multiple", "every component of the split has order a "
+                f"positive multiple of {c}", uneven),
+        _record("share-total", f"component clique shares sum to p = {p}",
+                None if uneven is None and sum(shares) == p else {"shares": shares}),
+        _record("piece-fault-tolerance", "every component plus the separator is itself "
+                "accepted for its share", unaccepted),
+        _record("anchored-clique", f"every separator vertex completes a {c}-clique "
+                "inside each component", anchorless),
+        _record("full-components", "every component is adjacent to the entire separator",
+                partial),
     ))
-    return AuditReport(tuple(records))
 
 
 @dataclass(frozen=True)

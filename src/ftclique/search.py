@@ -62,8 +62,9 @@ class Budget:
     graphs: int | None = None
 
     def __post_init__(self) -> None:
-        if self.seconds is not None and not self.seconds > 0:  # also rejects nan
-            raise ValueError(f"seconds budget must be positive, got {self.seconds}")
+        if self.seconds is not None and (
+                type(self.seconds) not in (int, float) or not self.seconds > 0):  # bool, nan too
+            raise ValueError(f"seconds budget must be a positive number, got {self.seconds!r}")
         if self.graphs is not None and (type(self.graphs) is not int or self.graphs < 1):
             raise ValueError(f"graphs budget must be an integer >= 1, got {self.graphs!r}")
 

@@ -1,5 +1,7 @@
 """Structural audits and the k = 1 minimality recognizer."""
 
+import hashlib
+import json
 import random
 import time
 from collections import Counter
@@ -28,7 +30,12 @@ from ftclique import (
 )
 from ftclique import audit as audit_module
 from ftclique import relabeled
-from ftclique.audit import vertex_without_surviving_clique
+from ftclique.audit import (
+    _non_adjacent_pair,
+    tight_vertex_with_open_closure,
+    vertex_without_surviving_clique,
+)
+from ftclique.graphs import bits
 from ftclique.search import _iter_adjacencies
 from helpers import all_graphs_with_edges, random_graph, surviving_clique_reference
 
@@ -148,6 +155,52 @@ def test_surviving_clique_matches_full_scan():
     assert outcomes == {True, False}
 
 
+def _pinned_audit_corpus():
+    """(params, graph): star and path constructions, native and relabeled,
+    each with seeded one-edge drops, then random critical-order graphs."""
+    rng = random.Random(2027)
+    for k in (1, 2, 3):
+        for p in (1, 2, 3, 4):
+            for c in (3, 4):
+                params = FTParams(k, p, c)
+                n = params.critical_order
+                for g in (star_construction(k, p, c),
+                          tree_of_cliques(k, c, TreeTemplate.path(p, k, c))):
+                    variants = [g]
+                    for _ in range(2):
+                        perm = list(range(n))
+                        rng.shuffle(perm)
+                        variants.append(relabeled(g, perm))
+                    for h in variants:
+                        yield params, h
+                        edges = h.edges()
+                        for i in rng.sample(range(len(edges)), 3):
+                            yield params, Graph(n, edges[:i] + edges[i + 1:])
+    for k, p, c in [(1, 2, 3), (2, 2, 3), (1, 3, 3), (2, 1, 4), (1, 2, 4)]:
+        params = FTParams(k, p, c)
+        for _ in range(60):
+            yield params, random_graph(rng, params.critical_order,
+                                       rng.choice([0.6, 0.75, 0.9]))
+
+
+def test_audit_reports_are_pinned():
+    # The JSON of every audit report on a fixed corpus, byte for byte: a
+    # rewrite of the audits must keep each outcome, witness and key order.
+    reports = []
+    failing = 0
+    for params, g in _pinned_audit_corpus():
+        graph_reports = [audit_basic(g, params).to_dict(),
+                         audit_low_degree_cliques(g, params).to_dict()]
+        if params.k < params.c:
+            graph_reports += [audit_separator(g, params, w).to_dict()
+                              for w in size_k_separators(g, params.k)]
+        failing += not all(r["passed"] for r in graph_reports)
+        reports.append(graph_reports)
+    assert (len(reports), failing) == (876, 582)
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == "c4b61cc775175ce58ea3fc62f89eeb48f231ba749b992d57bc9efa49486b7c9a"
+
+
 def test_surviving_clique_sweep_reuses_the_cliques_it_found(monkeypatch):
     searches = Counter()
     search = audit_module.clique_containing
@@ -206,6 +259,67 @@ def test_low_degree_audit_catches_a_violation():
     assert record.witness is not None
 
 
+def _first_non_adjacent_pair(g: Graph, vertices):
+    return next(((a, b) for a, b in combinations(sorted(vertices), 2)
+                 if not g.has_edge(a, b)), None)
+
+
+def _tight_open_closure_reference(g: Graph, floor: int):
+    """(v, pair): the first vertex of degree floor whose closed neighborhood
+    has a non-adjacent pair, and the first such pair; or None."""
+    for v in range(g.n):
+        closed = g.neighborhood(v) | {v}
+        if len(closed) == floor + 1:
+            pair = _first_non_adjacent_pair(g, closed)
+            if pair is not None:
+                return v, pair
+    return None
+
+
+def _closure_cases():
+    """Every labeled graph on at most 5 vertices, then seeded random graphs
+    on 6 to 12 vertices."""
+    for n in range(1, 6):
+        for m in range(comb(n, 2) + 1):
+            yield from all_graphs_with_edges(n, m)
+    rng = random.Random(8128)
+    for _ in range(2000):
+        yield random_graph(rng, rng.randint(6, 12), rng.choice([0.5, 0.7, 0.85, 0.95]))
+
+
+def test_closure_test_and_pair_match_brute_force():
+    # The search's leaf filter and resume check call the closure test too,
+    # so it is checked here against the definition, not against them.
+    rng = random.Random(496)
+    outcomes = Counter()
+    for g in _closure_cases():
+        for floor in range(g.n):
+            expected = _tight_open_closure_reference(g, floor)
+            got = tight_vertex_with_open_closure(g, floor)
+            assert got == (None if expected is None else expected[0]), (floor, g.edges())
+            outcomes[expected is None] += 1
+        if g.n <= 5:
+            masks = range(1 << g.n)
+        else:
+            masks = [g.adj[v] | 1 << v for v in range(g.n)]
+            masks += [rng.getrandbits(g.n) for _ in range(4)]
+        for mask in masks:
+            expected = _first_non_adjacent_pair(g, bits(mask))
+            assert _non_adjacent_pair(g, mask) == expected, (mask, g.edges())
+            outcomes["clique" if expected is None else "pair"] += 1
+    assert min(outcomes.values()) > 1000, outcomes
+
+
+@pytest.mark.parametrize("bad", [1.5, True, None, "1"])
+def test_audit_k_must_be_an_int(bad):
+    # a deletion count is an int: not a float, and not a bool
+    g = star_construction(1, 2, 3)
+    with pytest.raises(ValueError, match="k must be"):
+        size_k_separators(g, bad)
+    with pytest.raises(ValueError, match="k must be"):
+        vertex_without_surviving_clique(g, bad, 3)
+
+
 def test_size_k_separators():
     g = star_construction(1, 2, 3)
     assert size_k_separators(g, 1) == [(0,)]
@@ -262,6 +376,9 @@ def test_audit_separator_premise_violations():
         audit_separator(g, params, (1,))  # does not disconnect
     with pytest.raises(ValueError):
         audit_separator(g, params, (0, 1))  # wrong size
+    for bad in (0, None, (0.0,), (True,), (0, "1")):
+        with pytest.raises(ValueError):
+            audit_separator(g, params, bad)  # not a collection of int vertices
     with pytest.raises(ValueError):
         # the split statements need k < c
         audit_separator(complete_graph(9), FTParams(3, 2, 3), (0, 1, 2))

@@ -165,7 +165,7 @@ def test_order_limit_is_40_for_searches_and_tokens():
         SearchResume.from_dict(data)
 
 
-@pytest.mark.parametrize("seconds", [0, -1.0, float("nan")])
+@pytest.mark.parametrize("seconds", [0, -1.0, float("nan"), True, "5"])
 def test_budget_rejects_seconds_that_are_not_positive(seconds):
     with pytest.raises(ValueError, match="seconds budget"):
         Budget(seconds=seconds)
