@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands mirror the library: verify, pack, construct, recognize, audit,
-search-min, props. Graphs are read from a file argument or stdin in either
-supported format; reports are JSON on stdout. Exit codes: 0 when the
-checked property holds (or the command simply produced output), 1 when it
-fails, 2 for usage, premise, or budget errors.
+search-min, props. The five graph commands read one graph from a file
+argument or stdin in either supported format and print one JSON object
+that starts with `command`, the k, p and c the command takes, `n` and `m`.
+Exit codes: 0 when the checked property holds (or the command simply
+produced output), 1 when it fails, 2 for usage, premise, or budget errors.
+construct stops at order 258,047, as the parsers do.
 
 `main` builds the argument parser on its first call in a process and
 reuses it, so callers that run many commands in one process (the
@@ -55,18 +57,28 @@ def _read_text(path: str | None) -> str:
         return fh.read()
 
 
-def _load_graph(args: argparse.Namespace) -> Graph:
-    return parse_graph(_read_text(args.file))
-
-
 def _emit(obj: dict) -> None:
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    print(json.dumps(obj, indent=2))
 
 
-def _add_graph_input(sub: argparse.ArgumentParser) -> None:
+def _run_graph_command(args: argparse.Namespace) -> int:
+    """Read the graph and print `command`, the k, p and c the command takes,
+    n, m and the fields of its check; exit 0 when the check holds, else 1."""
+    graph = parse_graph(_read_text(args.file))
+    holds, fields = args.check(args, graph)
+    _emit({
+        "command": args.command,
+        **{name: getattr(args, name) for name in ("k", "p", "c") if name in args},
+        "n": graph.n, "m": graph.edge_count,
+        **fields,
+    })
+    return 0 if holds else 1
+
+
+def _add_graph_input(sub: argparse.ArgumentParser, check) -> None:
     sub.add_argument("file", nargs="?", default=None,
                      help="graph file (edge list or graph6); stdin when omitted")
+    sub.set_defaults(func=_run_graph_command, check=check)
 
 
 def _add_params(sub: argparse.ArgumentParser, *, with_k: bool = True) -> None:
@@ -76,8 +88,7 @@ def _add_params(sub: argparse.ArgumentParser, *, with_k: bool = True) -> None:
     sub.add_argument("--c", type=int, required=True, help="clique order")
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    graph = _load_graph(args)
+def _check_verify(args: argparse.Namespace, graph: Graph) -> tuple[bool, dict]:
     params = FTParams(args.k, args.p, args.c)
     jobs = args.jobs
     if jobs is None:
@@ -92,34 +103,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             ",".join(map(str, s)): [list(cl) for cl in pk.cliques]
             for s, pk in verdict.sample_witnesses.items()
         }
-    _emit({
-        "command": "verify",
-        "k": args.k, "p": args.p, "c": args.c,
-        "n": graph.n, "m": graph.edge_count,
+    return verdict.holds, {
         "holds": verdict.holds,
         "counterexample": None if verdict.counterexample is None else list(verdict.counterexample),
         "witness_count": verdict.witness_count,
         "reason": verdict.reason,
         "witnesses": witnesses,
-    })
-    return 0 if verdict.holds else 1
+    }
 
 
-def _cmd_pack(args: argparse.Namespace) -> int:
-    graph = _load_graph(args)
+def _check_pack(args: argparse.Namespace, graph: Graph) -> tuple[bool, dict]:
     packing = find_disjoint_cliques(graph, args.p, args.c)
-    _emit({
-        "command": "pack",
-        "p": args.p, "c": args.c,
-        "n": graph.n, "m": graph.edge_count,
+    return packing is not None, {
         "found": packing is not None,
         "cliques": None if packing is None else [list(cl) for cl in packing.cliques],
-    })
-    return 0 if packing is not None else 1
+    }
 
 
-def _parse_template_text(text: str) -> tuple[int, int, TreeTemplate]:
-    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
+def _build_tree(args: argparse.Namespace) -> Graph:
+    lines = [ln.split() for ln in _read_text(args.template).splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty template")
     try:
@@ -137,46 +139,25 @@ def _parse_template_text(text: str) -> tuple[int, int, TreeTemplate]:
             )
         parent, child, *slots = (int(x) for x in parts)
         gluings.append((parent, child, tuple(slots)))
-    return k, c, TreeTemplate(p, tuple(gluings))
+    return tree_of_cliques(k, c, TreeTemplate(p, tuple(gluings)))
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    kind = args.kind
-    if kind == "star":
-        graph = star_construction(args.k, args.p, args.c)
-    elif kind == "tree":
-        k, c, template = _parse_template_text(_read_text(args.template))
-        graph = tree_of_cliques(k, c, template)
-    elif kind == "cycle":
-        graph = odd_cycle(args.p)
-    elif kind == "harary":
-        graph = harary(args.m, args.n)
-    else:  # c2
-        graph = c2_even_k_construction(args.k, args.p)
-    sys.stdout.write(emit_graph(graph, args.out_format))
+    sys.stdout.write(emit_graph(args.build(args), args.out_format))
     return 0
 
 
-def _cmd_recognize(args: argparse.Namespace) -> int:
-    graph = _load_graph(args)
+def _check_recognize(args: argparse.Namespace, graph: Graph) -> tuple[bool, dict]:
     result = recognize_min_1ft(graph, args.p, args.c)
-    _emit({
-        "command": "recognize",
-        "p": args.p, "c": args.c,
-        "n": graph.n, "m": graph.edge_count,
+    return result.accepted, {
         "accepted": result.accepted,
         "explanation": result.explanation,
-    })
-    return 0 if result.accepted else 1
+    }
 
 
-def _cmd_audit(args: argparse.Namespace) -> int:
-    graph = _load_graph(args)
+def _check_audit(args: argparse.Namespace, graph: Graph) -> tuple[bool, dict]:
     params = FTParams(args.k, args.p, args.c)
     out: dict = {
-        "command": "audit",
-        "k": args.k, "p": args.p, "c": args.c,
-        "n": graph.n, "m": graph.edge_count,
         "basic": None, "low_degree": None,
         "separator": None, "separators": None,
     }
@@ -198,8 +179,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             ]
             passed = passed and all(s["passed"] for s in out["separators"])
     out["passed"] = passed
-    _emit(out)
-    return 0 if passed else 1
+    return passed, out
 
 
 def _cmd_search_min(args: argparse.Namespace) -> int:
@@ -228,14 +208,11 @@ def _cmd_search_min(args: argparse.Namespace) -> int:
     return 0 if report.resume is None else 2
 
 
-def _cmd_props(args: argparse.Namespace) -> int:
-    graph = _load_graph(args)
+def _check_props(args: argparse.Namespace, graph: Graph) -> tuple[bool, dict]:
     info = connectivity(graph)
     decomposition = blocks(graph)
     chord = chordality(graph)
-    _emit({
-        "command": "props",
-        "n": graph.n, "m": graph.edge_count,
+    return True, {
         "degrees": list(graph.degrees()),
         "components": [list(c) for c in info.components],
         "vertex_connectivity": info.vertex_connectivity,
@@ -248,13 +225,12 @@ def _cmd_props(args: argparse.Namespace) -> int:
         else [list(part) for part in chord.clique_tree.parts],
         "clique_tree": None if chord.clique_tree is None
         else [[i, j, list(adh)] for i, j, adh in chord.clique_tree.tree_edges],
-    })
-    return 0
+    }
 
 
 # Cached: parse_args returns a fresh Namespace on every call, so a reused
-# parser carries nothing between calls. Handlers are bound here, but the
-# library functions they call are looked up as module globals at call time.
+# parser carries nothing between calls. Handlers, checks and builders are
+# bound here, and look up the library functions as module globals when run.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -270,30 +246,33 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="retain packings for the first N deletion sets")
     sub.add_argument("--jobs", type=int, default=None,
                      help="parallel workers (default: the usable cores)")
-    _add_graph_input(sub)
-    sub.set_defaults(func=_cmd_verify)
+    _add_graph_input(sub, _check_verify)
 
     sub = subs.add_parser("pack", help="find p disjoint c-cliques")
     _add_params(sub, with_k=False)
-    _add_graph_input(sub)
-    sub.set_defaults(func=_cmd_pack)
+    _add_graph_input(sub, _check_pack)
 
     sub = subs.add_parser("construct", help="emit a named construction")
     kinds = sub.add_subparsers(dest="kind", required=True)
     star = kinds.add_parser("star", help="hub K_k joined to p disjoint K_c")
     _add_params(star)
+    star.set_defaults(build=lambda args: star_construction(args.k, args.p, args.c))
     tree = kinds.add_parser("tree", help="tree of overlapping (k+c)-cliques")
     tree.add_argument("--template", required=True,
                       help="template file: 'p k c' then p-1 lines "
                            "'parent child slot1..slotk' ('-' for stdin)")
+    tree.set_defaults(build=_build_tree)
     cycle = kinds.add_parser("cycle", help="odd cycle C_{2p+1}")
     cycle.add_argument("--p", type=int, required=True)
+    cycle.set_defaults(build=lambda args: odd_cycle(args.p))
     har = kinds.add_parser("harary", help="m-connected circulant on n vertices")
     har.add_argument("--m", type=int, required=True)
     har.add_argument("--n", type=int, required=True)
+    har.set_defaults(build=lambda args: harary(args.m, args.n))
     c2 = kinds.add_parser("c2", help="below-bound pairs construction (even k)")
     c2.add_argument("--k", type=int, required=True)
     c2.add_argument("--p", type=int, required=True)
+    c2.set_defaults(build=lambda args: c2_even_k_construction(args.k, args.p))
     for child in (star, tree, cycle, har, c2):
         child.add_argument("--out-format", default="edge-list",
                            choices=["edge-list", "graph6"])
@@ -302,15 +281,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("recognize",
                           help="structural minimality decision for k = 1")
     _add_params(sub, with_k=False)
-    _add_graph_input(sub)
-    sub.set_defaults(func=_cmd_recognize)
+    _add_graph_input(sub, _check_recognize)
 
     sub = subs.add_parser("audit", help="structural necessary-condition audits")
     _add_params(sub)
     sub.add_argument("--separator", default=None,
                      help="comma-separated vertices; audit this separator only")
-    _add_graph_input(sub)
-    sub.set_defaults(func=_cmd_audit)
+    _add_graph_input(sub, _check_audit)
 
     sub = subs.add_parser("search-min", help="exhaustive minimum-edge search")
     _add_params(sub)
@@ -323,20 +300,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_search_min)
 
     sub = subs.add_parser("props", help="degrees, connectivity, blocks, chordality")
-    _add_graph_input(sub)
-    sub.set_defaults(func=_cmd_props)
+    _add_graph_input(sub, _check_props)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        json.dump({"error": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
+        print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 
 

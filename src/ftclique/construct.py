@@ -61,7 +61,8 @@ class TreeTemplate:
         FTParams(k, self.p, c)
         p = self.p
         glued = sorted(self.gluings, key=lambda g: g[1])
-        if [child for _, child, _ in glued] != list(range(1, p)):
+        # count first: a header's p alone must not size a list
+        if len(glued) != p - 1 or [child for _, child, _ in glued] != list(range(1, p)):
             raise ValueError(f"a template needs exactly one gluing for each part 1..{p - 1}")
         kids: list[list[Gluing]] = [[] for _ in range(p)]
         for gluing in glued:

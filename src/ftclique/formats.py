@@ -65,6 +65,9 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def emit_edge_list(graph: Graph) -> str:
+    """The edge list of a graph; ValueError above MAX_ORDER, which the parser refuses."""
+    if graph.n > MAX_ORDER:
+        raise ValueError(f"edge lists here stop at n = {MAX_ORDER}, got {graph.n}")
     lines = [f"{graph.n} {graph.edge_count}"]
     lines.extend(f"{u} {v}" for u, v in graph.edges())
     return "\n".join(lines) + "\n"

@@ -118,13 +118,13 @@ def _carry(adj: tuple[int, ...], cliques: list[int], before: int,
 def _scan(graph: Graph, k: int, p: int, c: int, start: int, end: int,
           max_witnesses: int) -> tuple[
               int | None, tuple[int, ...] | None,
-              list[tuple[int, tuple[int, ...], CliquePacking]]]:
+              dict[tuple[int, ...], CliquePacking]]:
     """Check the k-subsets of lexicographic rank start to end - 1 in order.
 
     Returns (first failing rank, its subset, witnesses), the first two None
-    when every subset checked survives; witnesses are (rank, subset, packing)
-    for surviving ranks below max_witnesses. Each packing is searched on the
-    original labels inside the mask of survivors.
+    when every subset checked survives; witnesses map the surviving subsets
+    of rank below max_witnesses, in rank order, to their packings. Each
+    packing is searched on the original labels inside the mask of survivors.
 
     From rank max_witnesses on, the last packing is carried to the next
     subset when `_carry` can mend it: subsets next to each other in lex
@@ -136,7 +136,7 @@ def _scan(graph: Graph, k: int, p: int, c: int, start: int, end: int,
     """
     full = graph.full_mask
     adj = graph.adj
-    witnesses: list[tuple[int, tuple[int, ...], CliquePacking]] = []
+    witnesses: dict[tuple[int, ...], CliquePacking] = {}
     cliques: list[int] = []
     before = 0
     subsets = islice(combinations(range(graph.n), k), start, end)
@@ -147,7 +147,7 @@ def _scan(graph: Graph, k: int, p: int, c: int, start: int, end: int,
             if packing is None:
                 return rank, subset, witnesses
             if rank < max_witnesses:
-                witnesses.append((rank, subset, packing))
+                witnesses[subset] = packing
             cliques = [mask_of(clique) for clique in packing.cliques]
         before = allowed
     return None, None, witnesses
@@ -170,14 +170,15 @@ def _scan_parallel(graph: Graph, k: int, p: int, c: int, jobs: int,
 
     Once a worker reports a failing rank, no later block can hold the least
     one, so the workers of later blocks are terminated at once; earlier
-    blocks run to their end. Returns the results received; re-raises a
-    worker's exception, and raises RuntimeError for a worker that exits
-    without sending a result. Workers that have not answered are
-    terminated on every way out, and every worker is joined.
+    blocks run to their end. Returns the results by block, None where a
+    block was terminated; re-raises a worker's exception, and raises
+    RuntimeError for a worker that exits without sending a result. Workers
+    that have not answered are terminated on every way out, and every
+    worker is joined.
     """
     workers = []
     pending = {}
-    results = []
+    results = [None] * jobs
     try:
         for j in range(jobs):
             receiver, sender = multiprocessing.Pipe(duplex=False)
@@ -205,7 +206,7 @@ def _scan_parallel(graph: Graph, k: int, p: int, c: int, jobs: int,
                     receiver.close()
                 if isinstance(result, Exception):
                     raise result
-                results.append(result)
+                results[j] = result
                 if result[0] is not None:
                     for later in [r for r, i in pending.items() if i > j]:
                         later.close()
@@ -223,8 +224,8 @@ def verify_ft(graph: Graph, params: FTParams, *, max_witnesses: int = 0,
               jobs: int = 1) -> FTVerdict:
     """Scan all k-subsets in lexicographic order, stopping at the first failure.
 
-    The verdict does not depend on `jobs`: parallel workers report the rank
-    of their first failure and the aggregator keeps the minimum. Raises
+    The verdict does not depend on `jobs`: the workers' blocks of ranks are
+    read in order up to the first that fails. Raises
     ValueError for jobs < 1, max_witnesses < 0 or either not an integer.
     """
     if type(jobs) is not int or jobs < 1:
@@ -267,27 +268,18 @@ def verify_ft(graph: Graph, params: FTParams, *, max_witnesses: int = 0,
     else:
         results = [_scan(graph, k, p, c, 0, total, max_witnesses)]
 
-    fail_rank: int | None = None
-    fail_subset: tuple[int, ...] | None = None
-    collected: list[tuple[int, tuple[int, ...], CliquePacking]] = []
-    for rank, subset, wit in results:
-        collected.extend(wit)
-        if rank is not None and (fail_rank is None or rank < fail_rank):
-            fail_rank, fail_subset = rank, subset
-
-    if fail_rank is not None:
-        witnesses = None
-        if want:
-            witnesses = {s: pk for r, s, pk in sorted(collected) if r < fail_rank}
-        return FTVerdict(
-            holds=False,
-            counterexample=fail_subset,
-            witness_count=fail_rank + 1,
-            sample_witnesses=witnesses,
-            reason=prescreen,
-        )
-    witnesses = {s: pk for _, s, pk in sorted(collected)} if want else None
-    return FTVerdict(True, None, total, witnesses, None)
+    witnesses: dict[tuple[int, ...], CliquePacking] = {}
+    for rank, subset, found in results:
+        witnesses.update(found)
+        if rank is not None:
+            return FTVerdict(
+                holds=False,
+                counterexample=subset,
+                witness_count=rank + 1,
+                sample_witnesses=witnesses if want else None,
+                reason=prescreen,
+            )
+    return FTVerdict(True, None, total, witnesses if want else None, None)
 
 
 def verify_ft_oracle(graph: Graph, params: FTParams) -> FTVerdict:

@@ -1,7 +1,9 @@
 """End-to-end command-line behavior: exit codes, JSON reports, pipelines."""
 
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from math import comb
@@ -21,7 +23,9 @@ from ftclique import (
     cycle_graph,
     emit_edge_list,
     emit_graph6,
+    empty_graph,
     parse_graph6,
+    relabeled,
     size_k_separators,
     star_construction,
     tree_of_cliques,
@@ -145,6 +149,20 @@ def test_construct_other_kinds(capsys):
     assert code == 0 and out.splitlines()[0] == "6 15"
     code, _, err = run(capsys, "construct", "c2", "--k", "3", "--p", "1")
     assert code == 2 and "error" in json.loads(err)
+
+
+def test_construct_refuses_orders_the_parsers_refuse(capsys, monkeypatch):
+    # cycle --p 129024 is C_258049, one vertex past what both formats carry.
+    # Building it takes about 4 GB (each adjacency mask is as wide as its
+    # largest neighbour), so here the empty graph of the same order stands
+    # in for it; CI runs the real call.
+    monkeypatch.setattr(cli, "odd_cycle", lambda p: empty_graph(2 * p + 1))
+    for fmt in ("edge-list", "graph6"):
+        code, out, err = run(capsys, "construct", "cycle", "--p", "129024",
+                             "--out-format", fmt)
+        assert code == 2 and out == ""
+        assert "258047, got 258049" in json.loads(err)["error"]
+    assert run(capsys, "construct", "cycle", "--p", "129023") == (0, "258047 0\n", "")
 
 
 def test_recognize_command(tmp_path, capsys):
@@ -679,3 +697,99 @@ def test_reused_parser_matches_fresh_processes(tmp_path, capsys, monkeypatch):
     assert len(codes) > 2 and codes[-2:] == [0, 0]
     info = cli._build_parser.cache_info()
     assert (info.misses, info.hits) == (1, len(sequence) + len(codes) - 1)
+
+
+def _pin_inputs(tmp_path):
+    """Star and path constructions with k <= 3, p <= 4, c in {3, 4}, each
+    native and under one seeded relabeling, each of those with and without
+    one seeded edge dropped; every other file is graph6."""
+    rng = random.Random("cli-pin")
+    inputs = []
+    for k in (1, 2, 3):
+        for p in range(1, 5):
+            for c in (3, 4):
+                for shape in ("star", "path"):
+                    plan = TreeTemplate.star(p, k) if shape == "star" \
+                        else TreeTemplate.path(p, k, c)
+                    native = tree_of_cliques(k, c, plan)
+                    perm = list(range(native.n))
+                    rng.shuffle(perm)
+                    for label, graph in (("native", native),
+                                         ("relabeled", relabeled(native, perm))):
+                        drop = rng.choice(graph.edges())
+                        dropped = Graph(graph.n, [e for e in graph.edges() if e != drop])
+                        for variant, g in ((label, graph), (f"{label}-drop", dropped)):
+                            name = f"{shape}-{k}-{p}-{c}-{variant}"
+                            if len(inputs) % 2:
+                                path = tmp_path / f"{name}.g6"
+                                path.write_text(emit_graph6(g))
+                            else:
+                                path = tmp_path / f"{name}.txt"
+                                path.write_text(emit_edge_list(g))
+                            inputs.append((k, p, c, g, str(path)))
+    return inputs
+
+
+def _pin_corpus(tmp_path):
+    argvs = []
+    for k, p, c, graph, path in _pin_inputs(tmp_path):
+        params = ["--k", str(k), "--p", str(p), "--c", str(c)]
+        argvs.append(["verify", *params, "--jobs", "1", path])
+        argvs.append(["verify", *params, "--jobs", "1", "--witnesses", "3", path])
+        argvs.append(["pack", "--p", str(p), "--c", str(c), path])
+        argvs.append(["pack", "--p", str(p + 1), "--c", str(c), path])
+        if k == 1:
+            argvs.append(["recognize", "--p", str(p), "--c", str(c), path])
+        argvs.append(["audit", *params, path])
+        separators = size_k_separators(graph, k) if k < c else []
+        if separators:
+            sep = ",".join(map(str, separators[0]))
+            argvs.append(["audit", *params, "--separator", sep, path])
+        argvs.append(["props", path])
+
+    star = str(tmp_path / "star-1-2-3-native.txt")
+    malformed = tmp_path / "malformed.txt"
+    malformed.write_text("3 2\n0 1\n1 x\n")
+    non_ascii = tmp_path / "non-ascii.txt"
+    non_ascii.write_bytes("3 1\n0 1\u00e9\n".encode("utf-8"))
+    template = tmp_path / "template.txt"
+    template.write_text("4 2 3\n0 1 0 1\n0 2 3 4\n1 3 2 4\n")
+    two_parents = tmp_path / "two-parents.txt"
+    two_parents.write_text("3 2 3\n0 1 0 1\n0 1 3 4\n")
+    argvs += [
+        ["verify", "--k", "1", "--p", "2", "--c", "3", str(malformed)],
+        ["props", str(non_ascii)],
+        ["pack", "--p", "2", "--c", "3", str(tmp_path / "missing.txt")],
+        ["pack", "--p", "0", "--c", "3", star],
+        ["audit", "--k", "1", "--p", "2", "--c", "3", "--separator", "x", star],
+        ["verify", "--k", "1", "--p", "2", "--c", "3", "--jobs", "0", star],
+        # the graph is read before the parameters are checked
+        ["verify", "--k", "1", "--p", "2", "--c", "3", "--jobs", "0", str(malformed)],
+        ["pack", "--p", "0", "--c", "3", str(tmp_path / "missing.txt")],
+        ["recognize", "--p", "0", "--c", "3", str(non_ascii)],
+    ]
+    for fmt in ("edge-list", "graph6"):
+        for kind in (["star", "--k", "2", "--p", "3", "--c", "3"],
+                     ["tree", "--template", str(template)],
+                     ["tree", "--template", str(two_parents)],
+                     ["cycle", "--p", "4"],
+                     ["harary", "--m", "5", "--n", "9"],
+                     ["c2", "--k", "4", "--p", "1"]):
+            argvs.append(["construct", *kind, "--out-format", fmt])
+    return argvs
+
+
+# sha256 of every (argv, exit code, stdout, stderr) of the corpus above, with
+# the temporary directory replaced: any change to the bytes the CLI writes or
+# to its exit codes changes it.
+_PIN_DIGEST = "90ab01bb6ad25e5fc9faa8f15e58903a77e3c97aed945cb24a254cbf5df30212"
+
+
+def test_cli_output_is_pinned(tmp_path, capsys):
+    records = []
+    for argv in _pin_corpus(tmp_path):
+        code, out, err = _in_process(capsys, argv)
+        records.append([" ".join(argv), code, out, err])
+    text = json.dumps(records).replace(str(tmp_path), "TMP")
+    assert len(records) > 1000
+    assert hashlib.sha256(text.encode()).hexdigest() == _PIN_DIGEST

@@ -1,6 +1,7 @@
 """Constructions: hub stars, glued clique trees, contraction, c = 2 families."""
 
 import hashlib
+import tracemalloc
 import warnings
 
 import pytest
@@ -62,6 +63,19 @@ def test_tree_template_validation():
         TreeTemplate.path(3, 4, 3)  # newest attachment needs k <= c
     TreeTemplate.path(3, 2, 3).validate(2, 3)
     TreeTemplate.star(4, 1).validate(1, 3)
+
+
+def test_template_counts_its_gluings_before_p_sizes_a_list():
+    # a one-line template file is the header alone; its p must not size a
+    # list of parts before the missing gluing lines are noticed
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exactly one gluing for each part 1..999999"):
+            TreeTemplate(10 ** 6, ()).validate(1, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_construction_labels_are_pinned():

@@ -165,6 +165,13 @@ def test_order_limit_is_shared_by_both_formats():
         emit_graph6(empty_graph(MAX_ORDER + 1))
 
 
+def test_emit_edge_list_stops_at_the_order_limit():
+    # an edge list the parser would refuse is not written either
+    assert emit_edge_list(empty_graph(MAX_ORDER)) == f"{MAX_ORDER} 0\n"
+    with pytest.raises(ValueError, match=f"stop at n = {MAX_ORDER}, got {MAX_ORDER + 1}"):
+        emit_edge_list(empty_graph(MAX_ORDER + 1))
+
+
 def test_round_trips_random():
     rng = random.Random(9000)
     for _ in range(300):

@@ -203,9 +203,9 @@ def test_scan_checks_exactly_its_rank_range():
     expected = verify_ft(g, FTParams(3, 4, 3))
     first = expected.witness_count - 1
     end = comb(g.n, 3)
-    assert verify_module._scan(g, 3, 4, 3, 0, first, 0) == (None, None, [])
+    assert verify_module._scan(g, 3, 4, 3, 0, first, 0) == (None, None, {})
     assert verify_module._scan(g, 3, 4, 3, first, end, 0) == (
-        first, expected.counterexample, [])
+        first, expected.counterexample, {})
     rank, _, _ = verify_module._scan(g, 3, 4, 3, first + 1, end, 0)
     assert rank is None or rank > first
 
@@ -328,13 +328,13 @@ def test_carry_survives_the_split_into_blocks(monkeypatch):
     monkeypatch.setattr(verify_module, "find_disjoint_cliques", counting)
     g = star_construction(2, 5, 3)
     total = comb(g.n, 2)
-    assert verify_module._scan(g, 2, 5, 3, 0, total, 0) == (None, None, [])
+    assert verify_module._scan(g, 2, 5, 3, 0, total, 0) == (None, None, {})
     serial = len(calls)
     for jobs in (2, 3):
         calls.clear()
         for j in range(jobs):
             assert verify_module._scan(g, 2, 5, 3, total * j // jobs,
-                                       total * (j + 1) // jobs, 0) == (None, None, [])
+                                       total * (j + 1) // jobs, 0) == (None, None, {})
         assert len(calls) <= serial + jobs - 1
 
 
