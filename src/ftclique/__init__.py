@@ -26,7 +26,13 @@ from .canon import (
     canonical_graph,
     canonical_labeling,
 )
-from .chordal import ChordalityResult, CliqueTree, chordality
+from .chordal import (
+    ChordalityResult,
+    CliqueTree,
+    SeparatorStructure,
+    chordality,
+    separator_structure,
+)
 from .connectivity import (
     ConnectivityInfo,
     components,
@@ -99,6 +105,7 @@ __all__ = [
     "RecognitionResult",
     "SearchReport",
     "SearchResume",
+    "SeparatorStructure",
     "TreeTemplate",
     "audit_basic",
     "audit_low_degree_cliques",
@@ -139,6 +146,7 @@ __all__ = [
     "recognize_min_1ft",
     "relabeled",
     "search_minimum",
+    "separator_structure",
     "size_k_separators",
     "star_construction",
     "tree_of_cliques",

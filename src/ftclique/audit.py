@@ -15,6 +15,7 @@ from itertools import combinations
 from math import comb
 
 from .blocks import blocks
+from .chordal import chordality, separator_structure
 from .connectivity import component_masks, is_connected
 from .graphs import Graph, bits, mask_of, vertex_tuple
 from .packing import clique_containing, has_clique_containing
@@ -204,15 +205,22 @@ def _separations(graph: Graph, k: int) -> tuple[tuple[tuple[int, ...], tuple[int
     """(W, component masks) for every k-subset W, in lexicographic order,
     whose removal leaves at least two components.
 
-    The last sweep is kept, so the audits of one graph share it."""
-    n = graph.n
-    if comb(n, k) > _SWEEP_CAP:
-        raise ValueError(
-            f"separator sweep needs C({n}, {k}) subsets; cap is {_SWEEP_CAP}"
-        )
+    A chordal graph whose clique tree has no adhesion below k has its
+    k-vertex adhesions as these W, so only they are split. Any other graph
+    sweeps all C(n, k) subsets, up to the cap. The last result is kept, so
+    the audits of one graph share it."""
+    tree = chordality(graph).clique_tree
+    candidates = None if tree is None else separator_structure(tree).size_k_separators(k)
+    if candidates is None:
+        n = graph.n
+        if comb(n, k) > _SWEEP_CAP:
+            raise ValueError(
+                f"separator sweep needs C({n}, {k}) subsets; cap is {_SWEEP_CAP}"
+            )
+        candidates = combinations(range(n), k)
     full = graph.full_mask
     found = []
-    for w in combinations(range(n), k):
+    for w in candidates:
         comps = component_masks(graph.adj, full & ~mask_of(w))
         if len(comps) >= 2:
             found.append((w, tuple(comps)))

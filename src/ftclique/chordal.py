@@ -8,14 +8,26 @@ Both come from one walk over a maximum cardinality search (MCS) order:
 the test and the path that closes the cycle follow Tarjan and Yannakakis
 (SIAM J. Comput. 13, 1984), the clique tree Blair and Peyton ("An
 introduction to chordal graphs and clique trees", 1993).
+
+The minimal separators of a chordal graph are exactly the adhesions of
+its clique tree (Blair and Peyton), so `separator_structure` reads the
+vertex connectivity, the blocks and the size-k separators off the tree
+with no flow and no subset sweep.
 """
 
 from dataclasses import dataclass
 
+from .blocks import BlockDecomposition
 from .connectivity import shortest_path
-from .graphs import Graph, bits, vertex_tuple
+from .graphs import Graph, bits, mask_of, vertex_tuple
 
-__all__ = ["CliqueTree", "ChordalityResult", "chordality"]
+__all__ = [
+    "CliqueTree",
+    "ChordalityResult",
+    "chordality",
+    "SeparatorStructure",
+    "separator_structure",
+]
 
 
 @dataclass(frozen=True)
@@ -112,3 +124,67 @@ def chordality(graph: Graph) -> ChordalityResult:
     )
     tree = CliqueTree(tuple(map(vertex_tuple, ranked)), tuple(tree_edges))
     return ChordalityResult(True, tree, None)
+
+
+@dataclass(frozen=True)
+class SeparatorStructure:
+    """The separators of a chordal graph, read off its clique tree.
+
+    adhesions holds the distinct adhesion sets in lexicographic order; the
+    empty one is there exactly when the graph is disconnected.
+    """
+
+    vertex_connectivity: int
+    blocks: BlockDecomposition
+    adhesions: tuple[tuple[int, ...], ...]
+
+    def size_k_separators(self, k: int) -> list[tuple[int, ...]] | None:
+        """The k-subsets whose removal disconnects the graph, in
+        lexicographic order, or None when an adhesion has fewer than k
+        vertices. Otherwise a separating k-set holds a minimal separator,
+        an adhesion of at least k vertices, so it is that adhesion."""
+        if any(len(a) < k for a in self.adhesions):
+            return None
+        return [a for a in self.adhesions if len(a) == k]
+
+
+def separator_structure(tree: CliqueTree) -> SeparatorStructure:
+    """Vertex connectivity, blocks and separators of the graph of a clique tree.
+
+    The vertex connectivity is the smallest adhesion: n - 1 for a tree of
+    one part and 0 for a disconnected graph, whose components the tree
+    joins by empty adhesions. The blocks are the unions of the parts that
+    adhesions of two or more vertices join, the cutvertices the
+    one-vertex adhesions; an isolated vertex is a part, and so a block,
+    of its own.
+    """
+    parts = tree.parts
+    root = list(range(len(parts)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    cuts = 0
+    for i, j, adhesion in tree.tree_edges:
+        if len(adhesion) >= 2:
+            root[find(j)] = find(i)
+        elif adhesion:
+            cuts |= 1 << adhesion[0]
+    merged: dict[int, int] = {}
+    for i, part in enumerate(parts):
+        r = find(i)
+        merged[r] = merged.get(r, 0) | mask_of(part)
+    block_sets = sorted(vertex_tuple(m) for m in merged.values())
+    tree_edges = tuple(
+        (bi, v) for bi, bl in enumerate(block_sets) for v in bl if cuts >> v & 1
+    )
+    kappa = min((len(a) for _, _, a in tree.tree_edges),
+                default=len(parts[0]) - 1 if parts else 0)
+    return SeparatorStructure(
+        kappa,
+        BlockDecomposition(tuple(block_sets), vertex_tuple(cuts), tree_edges),
+        tuple(sorted({a for _, _, a in tree.tree_edges})),
+    )

@@ -6,7 +6,8 @@ argument or stdin in either supported format and print one JSON object
 that starts with `command`, the k, p and c the command takes, `n` and `m`.
 Exit codes: 0 when the checked property holds (or the command simply
 produced output), 1 when it fails, 2 for usage, premise, or budget errors.
-construct stops at order 258,047, as the parsers do.
+construct refuses an order above 258,047, as the parsers do, before it
+builds the graph.
 
 `main` builds the argument parser on its first call in a process and
 reuses it, so callers that run many commands in one process (the
@@ -31,8 +32,8 @@ from .audit import (
     size_k_separators,
 )
 from .blocks import blocks
-from .chordal import chordality
-from .connectivity import connectivity
+from .chordal import chordality, separator_structure
+from .connectivity import ConnectivityInfo, connectivity
 from .construct import (
     TreeTemplate,
     c2_even_k_construction,
@@ -41,7 +42,7 @@ from .construct import (
     star_construction,
     tree_of_cliques,
 )
-from .formats import emit_graph, parse_graph
+from .formats import check_order, emit_graph, parse_graph
 from .graphs import Graph
 from .packing import find_disjoint_cliques
 from .search import Budget, SearchResume, search_minimum
@@ -130,6 +131,7 @@ def _build_tree(args: argparse.Namespace) -> Graph:
         raise ValueError(
             f"template header must be 'p k c', got {' '.join(lines[0])!r}"
         ) from None
+    check_order(p * c + k, args.out_format)
     gluings = []
     for parts in lines[1:]:
         if len(parts) != 2 + k:
@@ -143,6 +145,11 @@ def _build_tree(args: argparse.Namespace) -> Graph:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
+    # A Graph row is a mask as wide as its largest neighbor, so an order the
+    # emitters refuse is refused before the build (the tree's, from its
+    # template header, in _build_tree).
+    if args.order is not None:
+        check_order(args.order(args), args.out_format)
     sys.stdout.write(emit_graph(args.build(args), args.out_format))
     return 0
 
@@ -209,9 +216,14 @@ def _cmd_search_min(args: argparse.Namespace) -> int:
 
 
 def _check_props(args: argparse.Namespace, graph: Graph) -> tuple[bool, dict]:
-    info = connectivity(graph)
-    decomposition = blocks(graph)
     chord = chordality(graph)
+    if chord.clique_tree is None:
+        info = connectivity(graph)
+        decomposition = blocks(graph)
+    else:  # no flow for the vertex number and no block split
+        structure = separator_structure(chord.clique_tree)
+        info = ConnectivityInfo.from_vertex_connectivity(graph, structure.vertex_connectivity)
+        decomposition = structure.blocks
     return True, {
         "degrees": list(graph.degrees()),
         "components": [list(c) for c in info.components],
@@ -256,23 +268,26 @@ def _build_parser() -> argparse.ArgumentParser:
     kinds = sub.add_subparsers(dest="kind", required=True)
     star = kinds.add_parser("star", help="hub K_k joined to p disjoint K_c")
     _add_params(star)
-    star.set_defaults(build=lambda args: star_construction(args.k, args.p, args.c))
+    star.set_defaults(order=lambda args: args.p * args.c + args.k,
+                      build=lambda args: star_construction(args.k, args.p, args.c))
     tree = kinds.add_parser("tree", help="tree of overlapping (k+c)-cliques")
     tree.add_argument("--template", required=True,
                       help="template file: 'p k c' then p-1 lines "
                            "'parent child slot1..slotk' ('-' for stdin)")
-    tree.set_defaults(build=_build_tree)
+    tree.set_defaults(order=None, build=_build_tree)
     cycle = kinds.add_parser("cycle", help="odd cycle C_{2p+1}")
     cycle.add_argument("--p", type=int, required=True)
-    cycle.set_defaults(build=lambda args: odd_cycle(args.p))
+    cycle.set_defaults(order=lambda args: 2 * args.p + 1,
+                       build=lambda args: odd_cycle(args.p))
     har = kinds.add_parser("harary", help="m-connected circulant on n vertices")
     har.add_argument("--m", type=int, required=True)
     har.add_argument("--n", type=int, required=True)
-    har.set_defaults(build=lambda args: harary(args.m, args.n))
+    har.set_defaults(order=lambda args: args.n, build=lambda args: harary(args.m, args.n))
     c2 = kinds.add_parser("c2", help="below-bound pairs construction (even k)")
     c2.add_argument("--k", type=int, required=True)
     c2.add_argument("--p", type=int, required=True)
-    c2.set_defaults(build=lambda args: c2_even_k_construction(args.k, args.p))
+    c2.set_defaults(order=lambda args: 2 * args.p + args.k,
+                    build=lambda args: c2_even_k_construction(args.k, args.p))
     for child in (star, tree, cycle, har, c2):
         child.add_argument("--out-format", default="edge-list",
                            choices=["edge-list", "graph6"])

@@ -254,17 +254,22 @@ class ConnectivityInfo:
     vertex_connectivity: int
     edge_connectivity: int
 
+    @classmethod
+    def from_vertex_connectivity(cls, graph: Graph, kappa: int) -> "ConnectivityInfo":
+        """Components and edge connectivity of a graph whose vertex
+        connectivity is known to be kappa (0 when disconnected).
+
+        When kappa equals the minimum degree, Whitney's
+        kappa <= lambda <= delta gives the edge connectivity without a flow.
+        """
+        comps = tuple(components(graph))
+        if len(comps) != 1:
+            return cls(comps, 0, 0)
+        if kappa == min(graph.degrees()):
+            return cls(comps, kappa, kappa)
+        return cls(comps, kappa, edge_connectivity(graph))
+
 
 def connectivity(graph: Graph) -> ConnectivityInfo:
-    """Components plus both connectivity numbers (0 when disconnected).
-
-    When the vertex connectivity equals the minimum degree, Whitney's
-    kappa <= lambda <= delta gives the edge connectivity without a flow.
-    """
-    comps = tuple(components(graph))
-    if len(comps) != 1:
-        return ConnectivityInfo(comps, 0, 0)
-    kappa = vertex_connectivity(graph)
-    if kappa == min(graph.degrees()):
-        return ConnectivityInfo(comps, kappa, kappa)
-    return ConnectivityInfo(comps, kappa, edge_connectivity(graph))
+    """Components plus both connectivity numbers (0 when disconnected)."""
+    return ConnectivityInfo.from_vertex_connectivity(graph, vertex_connectivity(graph))

@@ -18,6 +18,7 @@ __all__ = [
     "detect_format",
     "parse_graph",
     "emit_graph",
+    "check_order",
 ]
 
 _G6_HEADER = ">>graph6<<"
@@ -64,23 +65,29 @@ def parse_edge_list(text: str) -> Graph:
     return Graph._from_adj(n, tuple(adj))
 
 
+def check_order(n: int, fmt: str = "edge-list") -> None:
+    """Raise the ValueError the emitter for fmt raises on a graph of order
+    n above MAX_ORDER, so a caller can refuse before it builds the graph."""
+    if n <= MAX_ORDER:
+        return
+    if fmt == "graph6":
+        raise ValueError(f"graph6 support here stops at n = {MAX_ORDER}, got {n}")
+    raise ValueError(f"edge lists here stop at n = {MAX_ORDER}, got {n}")
+
+
 def emit_edge_list(graph: Graph) -> str:
     """The edge list of a graph; ValueError above MAX_ORDER, which the parser refuses."""
-    if graph.n > MAX_ORDER:
-        raise ValueError(f"edge lists here stop at n = {MAX_ORDER}, got {graph.n}")
+    check_order(graph.n)
     lines = [f"{graph.n} {graph.edge_count}"]
     lines.extend(f"{u} {v}" for u, v in graph.edges())
     return "\n".join(lines) + "\n"
 
 
 def _encode_n(n: int) -> str:
+    check_order(n, "graph6")
     if n <= 62:
         return chr(n + 63)
-    if n <= MAX_ORDER:
-        return chr(126) + "".join(
-            chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0)
-        )
-    raise ValueError(f"graph6 support here stops at n = {MAX_ORDER}, got {n}")
+    return chr(126) + "".join(chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0))
 
 
 def emit_graph6(graph: Graph) -> str:

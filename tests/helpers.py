@@ -19,6 +19,55 @@ def random_graph(rng: random.Random, n: int, prob: float) -> Graph:
     return Graph(n, edges)
 
 
+def random_chordal_graph(rng: random.Random, n: int, isolated: float = 0.1) -> Graph:
+    """Chordal graph grown one vertex at a time, then relabeled.
+
+    Each new vertex is joined to a clique of the earlier ones: a random
+    earlier vertex and some of its neighbors that are pairwise adjacent,
+    or, with probability isolated, nothing, which starts a new component.
+    Read backwards this is a perfect elimination order, so the graph is
+    chordal.
+    """
+    adj: list[set[int]] = []
+    edges = []
+    for v in range(n):
+        clique: list[int] = []
+        if v and rng.random() >= isolated:
+            u = rng.randrange(v)
+            clique.append(u)
+            for w in rng.sample(sorted(adj[u]), len(adj[u])):
+                if rng.random() < 0.7 and all(w in adj[x] for x in clique):
+                    clique.append(w)
+        adj.append(set(clique))
+        for x in clique:
+            adj[x].add(v)
+            edges.append((x, v))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def separators_by_sweep(g: Graph, k: int) -> list[tuple[int, ...]]:
+    """Every k-subset whose removal leaves at least two components, in
+    lexicographic order."""
+    from ftclique import components
+
+    return [w for w in combinations(range(g.n), k)
+            if len(components(g.remove_vertices(w)[0])) >= 2]
+
+
+def networkx_blocks(g: Graph) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(blocks, cutvertices) as networkx finds them, isolated vertices
+    added as blocks of their own."""
+    import networkx as nx
+
+    nxg = nx.Graph(g.edges())
+    nxg.add_nodes_from(range(g.n))
+    found = [tuple(sorted(c)) for c in nx.biconnected_components(nxg)]
+    found += [(v,) for v in range(g.n) if g.adj[v] == 0]
+    return tuple(sorted(found)), tuple(sorted(nx.articulation_points(nxg)))
+
+
 def isomorphic_bruteforce(a: Graph, b: Graph) -> bool:
     """Permutation search with a degree-sequence prefilter; n <= 8 expected."""
     if a.n != b.n or a.edge_count != b.edge_count:

@@ -20,6 +20,7 @@ from ftclique import (
     complete_graph,
     cycle_graph,
     hub_edge_bound,
+    odd_cycle,
     recognize_min_1ft,
     size_k_separators,
     star_construction,
@@ -340,11 +341,12 @@ def test_separator_sweep_over_the_cap_raises_before_sweeping(monkeypatch):
 
     audit_module._separations.cache_clear()
     monkeypatch.setattr(audit_module, "component_masks", refuse)
-    # the patched split is the one the sweep calls
+    # the patched split is the one the separators are checked with
     with pytest.raises(SweepRan):
         size_k_separators(star_construction(1, 2, 3), 1)
-    # C(61, 4) = 521,855 deletion sets, over the cap
-    g = star_construction(4, 19, 3)
+    # C(61, 4) = 521,855 deletion sets, over the cap; C_61 is not chordal,
+    # so it needs the sweep
+    g = odd_cycle(30)
     params = FTParams(4, 19, 3)
     started = time.monotonic()
     with pytest.raises(ValueError, match="cap"):

@@ -3,8 +3,6 @@
 import importlib
 import random
 
-import networkx as nx
-
 from ftclique import (
     TreeTemplate,
     blocks,
@@ -18,7 +16,7 @@ from ftclique import (
     star_construction,
     tree_of_cliques,
 )
-from helpers import random_graph
+from helpers import networkx_blocks, random_graph
 
 
 def test_two_triangles_sharing_a_vertex():
@@ -96,14 +94,6 @@ def test_cutvertex_removal_disconnects_component():
             assert len(components(rest)) > before
 
 
-def _networkx_blocks(g):
-    nxg = nx.Graph(g.edges())
-    nxg.add_nodes_from(range(g.n))
-    found = [tuple(sorted(c)) for c in nx.biconnected_components(nxg)]
-    found += [(v,) for v in range(g.n) if g.adj[v] == 0]
-    return tuple(sorted(found)), tuple(sorted(nx.articulation_points(nxg)))
-
-
 def test_blocks_match_networkx():
     rng = random.Random(2020)
     graphs = [random_graph(rng, rng.randint(0, 16), rng.choice([0.05, 0.1, 0.2, 0.35, 0.6]))
@@ -118,7 +108,7 @@ def test_blocks_match_networkx():
     shapes = {"bridge": 0, "isolated": 0, "disconnected": 0}
     for g in graphs:
         dec = blocks(g)
-        assert (dec.blocks, dec.cutvertices) == _networkx_blocks(g)
+        assert (dec.blocks, dec.cutvertices) == networkx_blocks(g)
         shapes["bridge"] += any(len(b) == 2 for b in dec.blocks)
         shapes["isolated"] += any(len(b) == 1 for b in dec.blocks)
         shapes["disconnected"] += len(components(g)) > 1

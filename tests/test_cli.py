@@ -1,11 +1,13 @@
 """End-to-end command-line behavior: exit codes, JSON reports, pipelines."""
 
 import hashlib
+import importlib
 import json
 import os
 import random
 import subprocess
 import sys
+import time
 from math import comb
 from pathlib import Path
 
@@ -17,10 +19,12 @@ from ftclique import (
     FTParams,
     Graph,
     TreeTemplate,
+    blocks,
     canonical_form,
     canonical_graph,
     complete_graph,
     cycle_graph,
+    edge_connectivity,
     emit_edge_list,
     emit_graph6,
     empty_graph,
@@ -30,11 +34,13 @@ from ftclique import (
     star_construction,
     tree_of_cliques,
     verify_ft,
+    vertex_connectivity,
 )
 from ftclique import audit as audit_module
 from ftclique import cli
 from ftclique import verify as verify_module
 from ftclique.cli import main
+from ftclique.formats import MAX_ORDER
 from helpers import bad_resume_afters
 
 
@@ -152,17 +158,41 @@ def test_construct_other_kinds(capsys):
 
 
 def test_construct_refuses_orders_the_parsers_refuse(capsys, monkeypatch):
-    # cycle --p 129024 is C_258049, one vertex past what both formats carry.
-    # Building it takes about 4 GB (each adjacency mask is as wide as its
-    # largest neighbour), so here the empty graph of the same order stands
-    # in for it; CI runs the real call.
-    monkeypatch.setattr(cli, "odd_cycle", lambda p: empty_graph(2 * p + 1))
+    # cycle --p 129024 is C_258049, one vertex past what both formats carry,
+    # and is refused before it is built. Building C_258047 takes about 4 GB
+    # (each adjacency mask is as wide as its largest neighbour), so here the
+    # empty graph of the same order stands in for it.
+    built = []
+    monkeypatch.setattr(cli, "odd_cycle", lambda p: built.append(p) or empty_graph(2 * p + 1))
     for fmt in ("edge-list", "graph6"):
         code, out, err = run(capsys, "construct", "cycle", "--p", "129024",
                              "--out-format", fmt)
         assert code == 2 and out == ""
         assert "258047, got 258049" in json.loads(err)["error"]
+    assert built == []
     assert run(capsys, "construct", "cycle", "--p", "129023") == (0, "258047 0\n", "")
+    assert built == [129023]
+
+
+@pytest.mark.parametrize("argv", [
+    ("star", "--k", "1", "--p", "100000", "--c", "3"),
+    ("cycle", "--p", "129024"),
+])
+def test_construct_refuses_an_over_limit_order_before_building(argv):
+    # The real builds would take seconds and gigabytes; the refusal takes
+    # the interpreter's start-up and no more memory than it.
+    src = Path(ftclique.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    started = time.monotonic()
+    with subprocess.Popen([sys.executable, "-m", "ftclique", "construct", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        out, err = proc.stdout.read(), proc.stderr.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    assert time.monotonic() - started < 5.0
+    assert proc.returncode == 2 and out == ""
+    assert f"stop at n = {MAX_ORDER}" in json.loads(err)["error"]
+    assert usage.ru_maxrss < 200 * 1024  # kilobytes on Linux
 
 
 def test_recognize_command(tmp_path, capsys):
@@ -247,10 +277,10 @@ def test_audit_over_the_sweep_cap_exits_2(tmp_path, capsys):
 
 
 def test_audit_sweeps_the_k_subsets_once(tmp_path, capsys, monkeypatch):
-    graph = tree_of_cliques(2, 4, TreeTemplate.path(6, 2, 4))
-    separators = size_k_separators(graph, 2)
-    path = tmp_path / "path.txt"
-    path.write_text(emit_edge_list(graph))
+    chordal = tree_of_cliques(2, 4, TreeTemplate.path(6, 2, 4))
+    # two disjoint non-edges among the root's own vertices close the
+    # chordless cycle 0-2-1-3, so its separators need the sweep
+    swept = Graph(chordal.n, [e for e in chordal.edges() if e not in ((0, 1), (2, 3))])
     calls = []
     original = audit_module.component_masks
 
@@ -258,13 +288,24 @@ def test_audit_sweeps_the_k_subsets_once(tmp_path, capsys, monkeypatch):
         calls.append(args)
         return original(*args)
 
-    audit_module._separations.cache_clear()
     monkeypatch.setattr(audit_module, "component_masks", counted)
-    code, report, _ = run_json(capsys, "audit", "--k", "2", "--p", "6", "--c", "4", str(path))
-    assert code == 0
-    assert len(report["separators"]) == len(separators) > 0
-    # one sweep over the k-subsets, then one split per separator audit
-    assert len(calls) == comb(graph.n, 2) + len(separators)
+    # the root's vertices of the second graph fall below the degree floor
+    for graph, exit_code in ((chordal, 0), (swept, 1)):
+        separators = size_k_separators(graph, 2)
+        path = tmp_path / "graph.txt"
+        path.write_text(emit_edge_list(graph))
+        audit_module._separations.cache_clear()
+        calls.clear()
+        code, report, _ = run_json(capsys, "audit", "--k", "2", "--p", "6", "--c", "4",
+                                   str(path))
+        assert code == exit_code
+        assert [tuple(s["vertices"]) for s in report["separators"]] == separators != []
+        # one search for the separators, then one split per separator audit:
+        # the chordal graph splits only at its adhesions, the other sweeps
+        # all k-subsets
+        search = len(separators) if graph is chordal else comb(graph.n, 2)
+        assert len(calls) == search + len(separators)
+    assert size_k_separators(chordal, 2) == [(4, 5), (8, 9), (12, 13), (16, 17), (20, 21)]
 
 
 def test_search_min_with_state(tmp_path, capsys):
@@ -550,6 +591,35 @@ def test_props_command(tmp_path, capsys):
     code, report, _ = run_json(capsys, "props", str(k4))
     assert report["chordal"] is True
     assert report["clique_parts"] == [[0, 1, 2, 3]]
+
+
+def test_props_runs_flows_and_the_block_split_only_on_non_chordal_graphs(
+        tmp_path, capsys, monkeypatch):
+    conn = importlib.import_module("ftclique.connectivity")
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args: calls.append(name) or original(*args))
+
+    counted(conn, "vertex_connectivity")
+    counted(conn, "edge_connectivity")
+    counted(cli, "blocks")
+    chain = relabeled(tree_of_cliques(1, 3, TreeTemplate.path(4, 1, 3)),
+                      [(5 * v + 3) % 13 for v in range(13)])
+    for graph, expected in ((chain, ["edge_connectivity"]),
+                            (star_construction(2, 1, 3), []),
+                            (cycle_graph(7), ["vertex_connectivity", "blocks"])):
+        path = tmp_path / "graph.txt"
+        path.write_text(emit_edge_list(graph))
+        calls.clear()
+        code, report, _ = run_json(capsys, "props", str(path))
+        assert code == 0 and calls == expected
+        assert report["vertex_connectivity"] == vertex_connectivity(graph)
+        assert report["edge_connectivity"] == edge_connectivity(graph)
+        assert (report["blocks"], report["cutvertices"]) == (
+            [list(b) for b in blocks(graph).blocks], list(blocks(graph).cutvertices))
 
 
 def test_malformed_input_is_a_usage_error(tmp_path, capsys):
