@@ -26,13 +26,7 @@ from .canon import (
     canonical_graph,
     canonical_labeling,
 )
-from .chordal import (
-    ChordalityResult,
-    CliqueTree,
-    SeparatorStructure,
-    chordality,
-    separator_structure,
-)
+from .chordal import ChordalityResult, CliqueTree, chordality
 from .connectivity import (
     ConnectivityInfo,
     components,
@@ -105,7 +99,6 @@ __all__ = [
     "RecognitionResult",
     "SearchReport",
     "SearchResume",
-    "SeparatorStructure",
     "TreeTemplate",
     "audit_basic",
     "audit_low_degree_cliques",
@@ -146,7 +139,6 @@ __all__ = [
     "recognize_min_1ft",
     "relabeled",
     "search_minimum",
-    "separator_structure",
     "size_k_separators",
     "star_construction",
     "tree_of_cliques",

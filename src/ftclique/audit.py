@@ -15,7 +15,7 @@ from itertools import combinations
 from math import comb
 
 from .blocks import blocks
-from .chordal import chordality, separator_structure
+from .chordal import chordality
 from .connectivity import component_masks, is_connected
 from .graphs import Graph, bits, mask_of, vertex_tuple
 from .packing import clique_containing, has_clique_containing
@@ -210,7 +210,7 @@ def _separations(graph: Graph, k: int) -> tuple[tuple[tuple[int, ...], tuple[int
     sweeps all C(n, k) subsets, up to the cap. The last result is kept, so
     the audits of one graph share it."""
     tree = chordality(graph).clique_tree
-    candidates = None if tree is None else separator_structure(tree).size_k_separators(k)
+    candidates = None if tree is None else tree.size_k_separators(k)
     if candidates is None:
         n = graph.n
         if comb(n, k) > _SWEEP_CAP:

@@ -30,6 +30,16 @@ class BlockDecomposition:
     tree_edges: tuple[tuple[int, int], ...]
 
 
+def _decomposition(found: list[int], cuts: int) -> BlockDecomposition:
+    """The decomposition with blocks the vertex masks `found`, sorted as
+    vertex tuples, and cutvertices the mask `cuts`."""
+    block_sets = sorted(map(vertex_tuple, found))
+    tree_edges = tuple(
+        (bi, v) for bi, bl in enumerate(block_sets) for v in bl if cuts >> v & 1
+    )
+    return BlockDecomposition(tuple(block_sets), vertex_tuple(cuts), tree_edges)
+
+
 def _splits(adj: tuple[int, ...], piece: int, w: int) -> int:
     """The component of the connected piece (a vertex mask) minus w that
     holds one neighbor of w, when deleting w disconnects the piece; else 0.
@@ -78,8 +88,4 @@ def blocks(graph: Graph) -> BlockDecomposition:
         else:
             found.append(piece)
 
-    block_sets = sorted(vertex_tuple(m) for m in found)
-    tree_edges = tuple(
-        (bi, v) for bi, bl in enumerate(block_sets) for v in bl if cuts >> v & 1
-    )
-    return BlockDecomposition(tuple(block_sets), vertex_tuple(cuts), tree_edges)
+    return _decomposition(found, cuts)

@@ -32,7 +32,7 @@ from .audit import (
     size_k_separators,
 )
 from .blocks import blocks
-from .chordal import chordality, separator_structure
+from .chordal import chordality
 from .connectivity import ConnectivityInfo, connectivity
 from .construct import (
     TreeTemplate,
@@ -217,13 +217,13 @@ def _cmd_search_min(args: argparse.Namespace) -> int:
 
 def _check_props(args: argparse.Namespace, graph: Graph) -> tuple[bool, dict]:
     chord = chordality(graph)
-    if chord.clique_tree is None:
+    tree = chord.clique_tree
+    if tree is None:
         info = connectivity(graph)
         decomposition = blocks(graph)
     else:  # no flow for the vertex number and no block split
-        structure = separator_structure(chord.clique_tree)
-        info = ConnectivityInfo.from_vertex_connectivity(graph, structure.vertex_connectivity)
-        decomposition = structure.blocks
+        info = ConnectivityInfo.from_vertex_connectivity(graph, tree.vertex_connectivity())
+        decomposition = tree.blocks()
     return True, {
         "degrees": list(graph.degrees()),
         "components": [list(c) for c in info.components],
@@ -233,10 +233,9 @@ def _check_props(args: argparse.Namespace, graph: Graph) -> tuple[bool, dict]:
         "cutvertices": list(decomposition.cutvertices),
         "chordal": chord.is_chordal,
         "chordless_cycle": None if chord.witness_cycle is None else list(chord.witness_cycle),
-        "clique_parts": None if chord.clique_tree is None
-        else [list(part) for part in chord.clique_tree.parts],
-        "clique_tree": None if chord.clique_tree is None
-        else [[i, j, list(adh)] for i, j, adh in chord.clique_tree.tree_edges],
+        "clique_parts": None if tree is None else [list(part) for part in tree.parts],
+        "clique_tree": None if tree is None
+        else [[i, j, list(adh)] for i, j, adh in tree.tree_edges],
     }
 
 

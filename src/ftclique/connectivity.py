@@ -21,7 +21,7 @@ where it can lower the best value so far:
 """
 
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import chain
 
@@ -164,6 +164,22 @@ def _max_flow(arcs: list[int], source: int, sink: int, limit: int | None = None)
     return value
 
 
+def _least_flow(adj: Sequence[int], arcs: Sequence[int], shift: int,
+                pairs: Iterable[tuple[int, int]], best: int) -> int:
+    """The least of best and the s + shift to t flows on arcs over pairs.
+
+    Each flow stops at the best value so far, and the scan stops once it
+    is 1. A pair whose common neighbors number at least the best is
+    skipped, since each is an s-t path of its own.
+    """
+    for s, t in pairs:
+        if best == 1:
+            break
+        if (adj[s] & adj[t]).bit_count() < best:
+            best = _max_flow(arcs, s + shift, t, best)
+    return best
+
+
 def edge_connectivity(graph: Graph) -> int:
     """Minimum number of edges whose deletion disconnects the graph.
 
@@ -181,10 +197,9 @@ def edge_connectivity(graph: Graph) -> int:
     and meets D. The degree order lets a hub dominate alone.
 
     The best value starts at delta (Whitney: vertex <= edge connectivity
-    <= minimum degree), each flow stops at it, and the scan stops once it
-    is 1. A flow runs only where it can lower the best: s and t are not
-    adjacent, and their common neighbors already carry that many
-    edge-disjoint s-t paths.
+    <= minimum degree), and `_least_flow` lowers it. Its certificate holds
+    here: s and t are not adjacent, so their common neighbors carry as
+    many edge-disjoint s-t paths.
     """
     n = graph.n
     if n <= 1 or not is_connected(graph):
@@ -198,13 +213,7 @@ def edge_connectivity(graph: Graph) -> int:
             dominating.append(v)
             covered |= adj[v] | 1 << v
     s = dominating[0]
-    best = min(degrees)
-    for t in dominating[1:]:
-        if best == 1:
-            break
-        if (adj[s] & adj[t]).bit_count() < best:
-            best = _max_flow(adj, s, t, best)
-    return best
+    return _least_flow(adj, adj, 0, ((s, t) for t in dominating[1:]), min(degrees))
 
 
 def vertex_connectivity(graph: Graph) -> int:
@@ -221,12 +230,10 @@ def vertex_connectivity(graph: Graph) -> int:
     misses v0 splits it from a non-neighbor, and one that contains v0
     misses two non-adjacent neighbors of v0 in different components.
 
-    The best value starts at the minimum degree, each flow stops at it,
-    and the scan stops once it is 1. A flow between s and t runs only when
-    they have fewer common neighbors than the best, since each common
-    neighbor is an s-t path of its own. The non-neighbors of v0 come in
-    order of fewest common neighbors with v0, so a small cut is found
-    early and the later targets pass on that certificate.
+    The best value starts at the minimum degree, and `_least_flow` lowers
+    it. The non-neighbors of v0 come in order of fewest common neighbors
+    with v0, so a small cut is found early and the later targets pass on
+    their common-neighbor certificate.
     """
     n = graph.n
     if n <= 1 or not is_connected(graph):
@@ -235,17 +242,11 @@ def vertex_connectivity(graph: Graph) -> int:
     arcs = [1 << (v + n) for v in range(n)] + list(adj)
     v0 = min(range(n), key=lambda v: adj[v].bit_count())
     near = adj[v0]
-    best = near.bit_count()
     cut_first = sorted(bits(graph.full_mask & ~near & ~(1 << v0)),
                        key=lambda t: (adj[t] & near).bit_count())
     pairs = chain(((v0, t) for t in cut_first),
                   ((x, y) for x in bits(near) for y in bits(near & ~adj[x] & ~((2 << x) - 1))))
-    for s, t in pairs:
-        if best == 1:
-            break
-        if (adj[s] & adj[t]).bit_count() < best:
-            best = _max_flow(arcs, s + n, t, best)
-    return best
+    return _least_flow(adj, arcs, n, pairs, near.bit_count())
 
 
 @dataclass(frozen=True)

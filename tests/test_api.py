@@ -1,8 +1,11 @@
-"""Public names: every exported name resolves, removed names stay gone."""
+"""Public names: every exported name resolves, removed names stay gone,
+and every name the benchmark's tracer wraps is there to wrap."""
 
 import importlib
 import inspect
 import pkgutil
+import types
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +27,19 @@ def test_module_exports_resolve(name):
         assert hasattr(module, attr), f"ftclique.{name}.{attr}"
 
 
+def test_benchmark_wrap_points_exist():
+    # bench/tracer.py replaces these attributes in place; a missing one
+    # makes Tracer.install raise KeyError. The module is compiled from its
+    # source, so no bytecode is written next to it, and it is given the
+    # modules by name, as the benchmark harness's import_fresh gives them.
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    tracer = types.ModuleType("tracer")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(tracer))
+    ft = types.SimpleNamespace(**{m: importlib.import_module(f"ftclique.{m}") for m in MODULES})
+    for owner, attr, _, _ in tracer._instrumentation(ft):
+        assert attr in vars(owner), (owner.__name__, attr)
+
+
 @pytest.mark.parametrize("owner, name", [
     ("ftclique", "DEFAULT_SIZE_LIMIT"),
     ("ftclique", "SizeLimitError"),
@@ -32,9 +48,13 @@ def test_module_exports_resolve(name):
     ("ftclique", "MinimumCandidacy"),
     ("ftclique", "is_minimum_candidate"),
     ("ftclique", "matches_gluing_profile"),
+    ("ftclique", "SeparatorStructure"),
+    ("ftclique", "separator_structure"),
     ("ftclique.canon", "DEFAULT_SIZE_LIMIT"),
     ("ftclique.canon", "SizeLimitError"),
     ("ftclique.chordal", "find_chordless_cycle"),
+    ("ftclique.chordal", "SeparatorStructure"),
+    ("ftclique.chordal", "separator_structure"),
     ("ftclique.construct", "matches_gluing_profile"),
     ("ftclique.formats", "GraphDocument"),
     ("ftclique.search", "EXHAUSTIVE_ORDER_LIMIT"),

@@ -1,6 +1,8 @@
 """Chordality test, chordless-cycle witnesses, clique trees."""
 
+import hashlib
 import random
+from itertools import combinations
 from math import comb
 
 import networkx as nx
@@ -23,7 +25,6 @@ from ftclique import (
     vertex_connectivity,
 )
 from ftclique import audit as audit_module
-from ftclique.chordal import separator_structure
 from helpers import (
     check_clique_tree,
     is_chordal_bruteforce,
@@ -101,14 +102,10 @@ def test_agreement_with_bruteforce_exhaustive_small():
     # cover every maximum cardinality search tie-break at that order. A
     # valid clique tree or chordless cycle proves the verdict, so the
     # brute-force check runs only up to n = 5.
-    from itertools import combinations
-
     for n in range(7):
         pairs = list(combinations(range(n), 2))
         for picks in range(1 << len(pairs)):
             edges = [pairs[i] for i in range(len(pairs)) if picks >> i & 1]
-            from ftclique import Graph
-
             g = Graph(n, edges)
             res = chordality(g)
             if n <= 5:
@@ -130,6 +127,35 @@ def test_agreement_with_bruteforce_random():
             check_clique_tree(g, res.clique_tree)
         else:
             _witness_is_chordless_cycle(g, res.witness_cycle)
+
+
+def _pin_corpus():
+    """Every labeled graph on at most 5 vertices, then 150 seeded G(n, p)
+    and 150 seeded random chordal graphs on 6 to 14 vertices."""
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        for picks in range(1 << len(pairs)):
+            yield Graph(n, [pairs[i] for i in range(len(pairs)) if picks >> i & 1])
+    rng = random.Random(2030)
+    for _ in range(150):
+        yield random_graph(rng, rng.randint(6, 14), rng.choice([0.2, 0.4, 0.6, 0.8]))
+    for _ in range(150):
+        yield random_chordal_graph(rng, rng.randint(6, 14))
+
+
+def test_chordality_results_are_pinned():
+    # the maximum cardinality search order decides the parts' tree edges
+    # and which chordless cycle is found, so any change to its tie-break
+    # moves this digest
+    digest = hashlib.sha256()
+    for g in _pin_corpus():
+        res = chordality(g)
+        tree = res.clique_tree
+        digest.update(repr((res.is_chordal, None if tree is None else tree.parts,
+                            None if tree is None else tree.tree_edges,
+                            res.witness_cycle)).encode())
+    assert digest.hexdigest() == \
+        "bf313f86725b769c3cd1679e73742e95606970a3d43d4bc5362345016967d094"
 
 
 def test_adhesions_are_the_minimal_separators():
@@ -183,18 +209,19 @@ def test_separator_structure_matches_the_general_algorithms():
     decided = [0] * 4
     shapes = {"disconnected": 0, "complete": 0, "tree": 0, "cutvertex": 0}
     for g in _separator_cases():
-        structure = separator_structure(chordality(g).clique_tree)
-        assert structure.vertex_connectivity == vertex_connectivity(g), g.edges()
-        assert structure.blocks == blocks(g), g.edges()
+        tree = chordality(g).clique_tree
+        decomposition = tree.blocks()
+        assert tree.vertex_connectivity() == vertex_connectivity(g), g.edges()
+        assert decomposition == blocks(g), g.edges()
         for k in range(4):
-            found = structure.size_k_separators(k)
+            found = tree.size_k_separators(k)
             if found is not None:
                 decided[k] += 1
                 assert found == separators_by_sweep(g, k), (g.edges(), k)
         shapes["disconnected"] += not is_connected(g)
         shapes["complete"] += g.n >= 2 and g.edge_count == g.n * (g.n - 1) // 2
         shapes["tree"] += g.n >= 3 and is_connected(g) and g.edge_count == g.n - 1
-        shapes["cutvertex"] += bool(structure.blocks.cutvertices)
+        shapes["cutvertex"] += bool(decomposition.cutvertices)
     assert min(decided) >= 100, decided
     assert min(shapes.values()) >= 10, shapes
 
@@ -203,14 +230,15 @@ def test_separator_structure_matches_networkx():
     for g in _separator_cases()[::4]:
         if g.n < 2 or not is_connected(g):
             continue
-        structure = separator_structure(chordality(g).clique_tree)
+        tree = chordality(g).clique_tree
+        decomposition = tree.blocks()
         nxg = nx.Graph(g.edges())
         kappa = nx.node_connectivity(nxg)
-        assert structure.vertex_connectivity == kappa
-        assert (structure.blocks.blocks, structure.blocks.cutvertices) == networkx_blocks(g)
+        assert tree.vertex_connectivity() == kappa
+        assert (decomposition.blocks, decomposition.cutvertices) == networkx_blocks(g)
         if g.edge_count < g.n * (g.n - 1) // 2:
             cuts = sorted(tuple(sorted(cut)) for cut in nx.all_node_cuts(nxg))
-            assert structure.size_k_separators(kappa) == cuts
+            assert tree.size_k_separators(kappa) == cuts
 
 
 def test_size_k_separators_take_the_sweep_only_where_the_tree_does_not_decide(monkeypatch):
