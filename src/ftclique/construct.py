@@ -172,18 +172,11 @@ def harary(m: int, n: int) -> Graph:
     (one extra near-diameter edge when n is odd too)."""
     if not 2 <= m < n:
         raise ValueError(f"need 2 <= m < n, got m={m}, n={n}")
-    edges: set[tuple[int, int]] = set()
-    for off in range(1, m // 2 + 1):
-        for v in range(n):
-            w = (v + off) % n
-            edges.add((min(v, w), max(v, w)))
+    # Graph ORs a repeated edge (v, w) or (w, v) into the same bit.
+    edges = [(v, (v + off) % n) for off in range(1, m // 2 + 1) for v in range(n)]
     if m % 2 == 1:
-        half = n // 2
-        count = half if n % 2 == 0 else half + 1
-        for v in range(count):
-            w = (v + half) % n
-            edges.add((min(v, w), max(v, w)))
-    return Graph(n, sorted(edges))
+        edges += [(v, (v + n // 2) % n) for v in range((n + 1) // 2)]
+    return Graph(n, edges)
 
 
 def c2_even_k_construction(k: int, p: int) -> Graph:

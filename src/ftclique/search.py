@@ -392,22 +392,18 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
             if canonical_form(g) != cf or not verify_ft(g, params).holds:
                 raise ValueError(f"resume token best_certs hold {emit_graph6(g).strip()}, "
                                  "which is not canonical or not accepted")
-        max_edges = resume.max_edges
-        m, d0 = resume.unit or (max_edges + 1, dmin)  # finished: past the last unit
-        best_m = resume.best_m
-        best_certs: set[CanonicalForm] = set(resume.best_certs)
-        seen: set[CanonicalForm] = set(resume.seen_certs)
-        examined = resume.graphs_examined
-        after = resume.after
     else:
         if max_edges is None:
             max_edges = bound
-        m, d0 = lower, dmin
-        best_m = None
-        best_certs = set()
-        seen = set()
-        examined = 0
-        after = None
+        resume = SearchResume(k, p, c, max_edges, (lower, dmin) if lower <= max_edges else None,
+                              None, (), 0)
+    max_edges = resume.max_edges
+    m, d0 = resume.unit or (max_edges + 1, dmin)  # finished: past the last unit
+    best_m = resume.best_m
+    best_certs: set[CanonicalForm] = set(resume.best_certs)
+    seen: set[CanonicalForm] = set(resume.seen_certs)
+    examined = resume.graphs_examined
+    after = resume.after
     last_m = max_edges if best_m is None else best_m
 
     budget = budget or Budget()

@@ -11,7 +11,6 @@ import multiprocessing
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 from math import comb
-from multiprocessing.connection import wait
 
 from .graphs import Graph, mask_of
 from .packing import CliquePacking, find_disjoint_cliques, oracle_packing_exists
@@ -25,6 +24,9 @@ __all__ = [
 ]
 
 _PARALLEL_THRESHOLD = 256
+
+# (first failing rank, its subset, witnesses), as _scan returns them.
+_ScanResult = tuple[int | None, tuple[int, ...] | None, dict[tuple[int, ...], CliquePacking]]
 
 
 @dataclass(frozen=True)
@@ -116,9 +118,7 @@ def _carry(adj: tuple[int, ...], cliques: list[int], before: int,
 
 
 def _scan(graph: Graph, k: int, p: int, c: int, start: int, end: int,
-          max_witnesses: int) -> tuple[
-              int | None, tuple[int, ...] | None,
-              dict[tuple[int, ...], CliquePacking]]:
+          max_witnesses: int) -> _ScanResult:
     """Check the k-subsets of lexicographic rank start to end - 1 in order.
 
     Returns (first failing rank, its subset, witnesses), the first two None
@@ -164,60 +164,58 @@ def _work(conn, *args) -> None:
 
 
 def _scan_parallel(graph: Graph, k: int, p: int, c: int, jobs: int,
-                   max_witnesses: int, total: int) -> list:
+                   max_witnesses: int, total: int) -> _ScanResult:
     """Run _scan in `jobs` fresh worker processes, worker j on the ranks
-    total*j//jobs up to total*(j+1)//jobs, so each keeps the carry.
+    total*j//jobs up to total*(j+1)//jobs, so each keeps the carry, and
+    return what one _scan over all ranks returns.
 
-    Once a worker reports a failing rank, no later block can hold the least
-    one, so the workers of later blocks are terminated at once; earlier
-    blocks run to their end. Returns the results by block, None where a
-    block was terminated; re-raises a worker's exception, and raises
-    RuntimeError for a worker that exits without sending a result. Workers
-    that have not answered are terminated on every way out, and every
-    worker is joined.
+    The blocks are read in order up to the first that fails, which holds
+    the least failing rank; what later blocks found is never read, as a
+    serial scan never reaches their ranks. Re-raises the exception of a
+    worker read, and raises RuntimeError for one that exits without
+    sending a result. On every way out the workers not read are
+    terminated, and all are joined before the pipes close, so none wakes
+    on a broken pipe. A worker that was read exits on its own and runs its
+    exit handlers.
     """
     workers = []
-    pending = {}
-    results = [None] * jobs
+    receivers = []
+    read = 0
+    witnesses: dict[tuple[int, ...], CliquePacking] = {}
     try:
         for j in range(jobs):
             receiver, sender = multiprocessing.Pipe(duplex=False)
+            receivers.append(receiver)
             worker = multiprocessing.Process(
                 target=_work,
                 args=(sender, graph, k, p, c, total * j // jobs,
                       total * (j + 1) // jobs, max_witnesses))
             worker.start()
             workers.append(worker)
-            pending[receiver] = j
             sender.close()
-        while pending:
-            for receiver in wait(list(pending)):
-                if receiver not in pending:
-                    continue
-                j = pending.pop(receiver)
-                try:
-                    result = receiver.recv()
-                except EOFError:
-                    workers[j].join()
-                    raise RuntimeError(
-                        f"verify worker exited with code {workers[j].exitcode} "
-                        "before sending a result") from None
-                finally:
-                    receiver.close()
-                if isinstance(result, Exception):
-                    raise result
-                results[j] = result
-                if result[0] is not None:
-                    for later in [r for r, i in pending.items() if i > j]:
-                        later.close()
-                        workers[pending.pop(later)].terminate()
+        for worker, receiver in zip(workers, receivers):
+            try:
+                result = receiver.recv()
+            except EOFError:
+                worker.join()
+                raise RuntimeError(
+                    f"verify worker exited with code {worker.exitcode} "
+                    "before sending a result") from None
+            read += 1
+            if isinstance(result, Exception):
+                raise result
+            rank, subset, found = result
+            witnesses.update(found)
+            if rank is not None:
+                return rank, subset, witnesses
+        return None, None, witnesses
     finally:
-        for receiver, j in pending.items():
-            receiver.close()
-            workers[j].terminate()
+        for worker in workers[read:]:
+            worker.terminate()
         for worker in workers:
             worker.join()
-    return results
+        for receiver in receivers:
+            receiver.close()
 
 
 def verify_ft(graph: Graph, params: FTParams, *, max_witnesses: int = 0,
@@ -237,15 +235,9 @@ def verify_ft(graph: Graph, params: FTParams, *, max_witnesses: int = 0,
     want = max_witnesses > 0
 
     if n < params.critical_order:
-        if k == 0:
-            cx: tuple[int, ...] | None = ()
-        elif k <= n:
-            cx = tuple(range(k))
-        else:
-            cx = None
         return FTVerdict(
             holds=False,
-            counterexample=cx,
+            counterexample=tuple(range(k)) if k <= n else None,
             witness_count=0,
             sample_witnesses={} if want else None,
             reason=f"graph has {n} vertices but p*c + k = {params.critical_order} are required",
@@ -263,23 +255,19 @@ def verify_ft(graph: Graph, params: FTParams, *, max_witnesses: int = 0,
 
     total = comb(n, k)
     if jobs > 1 and total >= _PARALLEL_THRESHOLD:
-        results = _scan_parallel(graph, k, p, c, min(jobs, total),
-                                 max_witnesses, total)
+        rank, subset, witnesses = _scan_parallel(
+            graph, k, p, c, min(jobs, total), max_witnesses, total)
     else:
-        results = [_scan(graph, k, p, c, 0, total, max_witnesses)]
-
-    witnesses: dict[tuple[int, ...], CliquePacking] = {}
-    for rank, subset, found in results:
-        witnesses.update(found)
-        if rank is not None:
-            return FTVerdict(
-                holds=False,
-                counterexample=subset,
-                witness_count=rank + 1,
-                sample_witnesses=witnesses if want else None,
-                reason=prescreen,
-            )
-    return FTVerdict(True, None, total, witnesses if want else None, None)
+        rank, subset, witnesses = _scan(graph, k, p, c, 0, total, max_witnesses)
+    if rank is None:
+        return FTVerdict(True, None, total, witnesses if want else None, None)
+    return FTVerdict(
+        holds=False,
+        counterexample=subset,
+        witness_count=rank + 1,
+        sample_witnesses=witnesses if want else None,
+        reason=prescreen,
+    )
 
 
 def verify_ft_oracle(graph: Graph, params: FTParams) -> FTVerdict:

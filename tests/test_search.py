@@ -581,10 +581,11 @@ def test_resumed_hops_check_each_class_once():
 
 
 def test_max_edges_cutoff_reports_nothing_found():
-    report = search_minimum(FTParams(1, 2, 3), max_edges=11)
-    assert report.minimum_found is None
-    assert report.exhaustive
-    assert report.exemplars == ()
+    for max_edges in (11, 10):  # 10 lies below the lower bound 11
+        report = search_minimum(FTParams(1, 2, 3), max_edges=max_edges)
+        assert report.minimum_found is None
+        assert report.exhaustive
+        assert report.exemplars == ()
 
 
 def test_report_serialization():

@@ -1,6 +1,7 @@
 """Fault-tolerance verification scans."""
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import random
 import time
@@ -340,7 +341,8 @@ def test_carry_survives_the_split_into_blocks(monkeypatch):
 
 def test_racing_workers_keep_the_least_failing_rank():
     # More workers than cores, and a failure in every few ranks, so several
-    # blocks fail and each failure cancels the blocks after it.
+    # blocks fail; the blocks are read in order, the first failing one ends
+    # the scan, and the workers not read are terminated.
     g = disjoint_union(star_construction(3, 3, 3), complete_graph(3))
     params = FTParams(3, 4, 3)
     everything = comb(g.n, 3)
@@ -388,14 +390,51 @@ def test_worker_that_dies_without_a_result_raises(monkeypatch):
     assert "code 3" in str(info.value)
 
 
+@pytest.mark.parametrize("fault", ["raise", "exit"])
+def test_faults_past_the_first_failing_block_are_not_raised(monkeypatch, fault):
+    # Rank 0 deletes {0, 1} and fails in the first block after a second;
+    # the second block faults at once, at ranks a serial scan never reaches.
+    monkeypatch.setattr(verify_module, "_PARALLEL_THRESHOLD", 1)
+
+    def faulting_later(graph, p, c, allowed=None):
+        if not allowed & 0b11:
+            time.sleep(1)
+            return None
+        if fault == "raise":
+            raise ValueError("packer failed")
+        os._exit(3)
+
+    monkeypatch.setattr(verify_module, "find_disjoint_cliques", faulting_later)
+    verdict = verify_ft(star_construction(2, 5, 3), FTParams(2, 5, 3), jobs=2)
+    assert (verdict.holds, verdict.counterexample, verdict.witness_count) == (False, (0, 1), 1)
+    assert multiprocessing.active_children() == []
+
+
+def test_read_workers_exit_on_their_own(monkeypatch, tmp_path):
+    # A worker whose result was read is joined, not terminated, so its exit
+    # handlers run; here each takes half a second to reach its marker.
+    monkeypatch.setattr(verify_module, "_PARALLEL_THRESHOLD", 1)
+    work = verify_module._work
+
+    def slow_exit(conn, graph, k, p, c, start, *rest):
+        work(conn, graph, k, p, c, start, *rest)
+        time.sleep(0.5)
+        (tmp_path / str(start)).touch()
+
+    monkeypatch.setattr(verify_module, "_work", slow_exit)
+    assert verify_ft(star_construction(2, 5, 3), FTParams(2, 5, 3), jobs=2).holds
+    assert sorted(int(marker.name) for marker in tmp_path.iterdir()) == [0, 68]
+    assert multiprocessing.active_children() == []
+
+
 def test_interrupted_caller_terminates_its_workers(monkeypatch):
-    def interrupted(connections, timeout=None):
+    def interrupted(connection):
         raise KeyboardInterrupt
 
     def sleeping(graph, p, c, allowed=None):
         time.sleep(60)
 
-    monkeypatch.setattr(verify_module, "wait", interrupted)
+    monkeypatch.setattr(multiprocessing.connection.Connection, "recv", interrupted)
     _run_with_broken_packer(monkeypatch, sleeping, KeyboardInterrupt)
 
 
