@@ -60,6 +60,10 @@ class TreeTemplate:
         """
         FTParams(k, self.p, c)
         p = self.p
+        for parent, child, slots in self.gluings:
+            if not (type(parent) is type(child) is int and type(slots) in (tuple, list)
+                    and all(type(s) is int for s in slots)):  # bool too
+                raise ValueError(f"gluing {(parent, child, slots)!r} is not of ints")
         glued = sorted(self.gluings, key=lambda g: g[1])
         # count first: a header's p alone must not size a list
         if len(glued) != p - 1 or [child for _, child, _ in glued] != list(range(1, p)):

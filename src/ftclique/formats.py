@@ -162,14 +162,15 @@ def parse_graph6(data: str | bytes) -> Graph:
         raise ValueError("nonzero padding bits in graph6 body")
     stream >>= pad
 
-    edges = []
+    adj = [0] * n
     pos = nbits
     for j in range(1, n):
         for i in range(j):
             pos -= 1
             if stream >> pos & 1:
-                edges.append((i, j))
-    return Graph(n, edges)
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return Graph._from_adj(n, tuple(adj))
 
 
 def detect_format(text: str) -> str:

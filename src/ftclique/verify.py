@@ -25,8 +25,7 @@ __all__ = [
 
 _PARALLEL_THRESHOLD = 256
 
-# (first failing rank, its subset, witnesses), as _scan returns them.
-_ScanResult = tuple[int | None, tuple[int, ...] | None, dict[tuple[int, ...], CliquePacking]]
+_ScanResult = tuple[int | None, tuple[int, ...] | None]
 
 
 @dataclass(frozen=True)
@@ -117,40 +116,32 @@ def _carry(adj: tuple[int, ...], cliques: list[int], before: int,
     return bool(cliques)
 
 
-def _scan(graph: Graph, k: int, p: int, c: int, start: int, end: int,
-          max_witnesses: int) -> _ScanResult:
-    """Check the k-subsets of lexicographic rank start to end - 1 in order.
+def _scan(graph: Graph, k: int, p: int, c: int, start: int, end: int) -> _ScanResult:
+    """Check the k-subsets of lexicographic rank start to end - 1 in order,
+    and return the first failing rank and its subset, both None when every
+    subset checked survives.
 
-    Returns (first failing rank, its subset, witnesses), the first two None
-    when every subset checked survives; witnesses map the surviving subsets
-    of rank below max_witnesses, in rank order, to their packings. Each
-    packing is searched on the original labels inside the mask of survivors.
-
-    From rank max_witnesses on, the last packing is carried to the next
-    subset when `_carry` can mend it: subsets next to each other in lex
-    order mostly differ in one vertex, so the packing survives as it is or
-    with that one vertex swapped, and any p disjoint c-cliques among the
-    survivors prove a rank. The packer runs only where the carry fails.
-    A witness must be the lex-first packing the reference gives, so the
-    ranks below max_witnesses always run the packer.
+    The last packing is carried to the next subset when `_carry` can mend
+    it: subsets next to each other in lex order mostly differ in one
+    vertex, so the packing survives as it is or with that one vertex
+    swapped, and any p disjoint c-cliques among the survivors prove a rank.
+    The packer runs only where the carry fails, on the original labels
+    inside the mask of survivors.
     """
     full = graph.full_mask
     adj = graph.adj
-    witnesses: dict[tuple[int, ...], CliquePacking] = {}
     cliques: list[int] = []
     before = 0
     subsets = islice(combinations(range(graph.n), k), start, end)
     for rank, subset in enumerate(subsets, start):
         allowed = full & ~mask_of(subset)
-        if rank < max_witnesses or not _carry(adj, cliques, before, allowed):
+        if not _carry(adj, cliques, before, allowed):
             packing = find_disjoint_cliques(graph, p, c, allowed)
             if packing is None:
-                return rank, subset, witnesses
-            if rank < max_witnesses:
-                witnesses[subset] = packing
+                return rank, subset
             cliques = [mask_of(clique) for clique in packing.cliques]
         before = allowed
-    return None, None, witnesses
+    return None, None
 
 
 def _work(conn, *args) -> None:
@@ -164,10 +155,10 @@ def _work(conn, *args) -> None:
 
 
 def _scan_parallel(graph: Graph, k: int, p: int, c: int, jobs: int,
-                   max_witnesses: int, total: int) -> _ScanResult:
-    """Run _scan in `jobs` fresh worker processes, worker j on the ranks
-    total*j//jobs up to total*(j+1)//jobs, so each keeps the carry, and
-    return what one _scan over all ranks returns.
+                   start: int, end: int) -> _ScanResult:
+    """Run _scan in `jobs` fresh worker processes, each on one contiguous
+    block of the ranks start to end - 1 so it keeps the carry, and return
+    what one _scan over those ranks returns.
 
     The blocks are read in order up to the first that fails, which holds
     the least failing rank; what later blocks found is never read, as a
@@ -178,18 +169,18 @@ def _scan_parallel(graph: Graph, k: int, p: int, c: int, jobs: int,
     on a broken pipe. A worker that was read exits on its own and runs its
     exit handlers.
     """
+    size = end - start
     workers = []
     receivers = []
     read = 0
-    witnesses: dict[tuple[int, ...], CliquePacking] = {}
     try:
         for j in range(jobs):
             receiver, sender = multiprocessing.Pipe(duplex=False)
             receivers.append(receiver)
             worker = multiprocessing.Process(
                 target=_work,
-                args=(sender, graph, k, p, c, total * j // jobs,
-                      total * (j + 1) // jobs, max_witnesses))
+                args=(sender, graph, k, p, c, start + size * j // jobs,
+                      start + size * (j + 1) // jobs))
             worker.start()
             workers.append(worker)
             sender.close()
@@ -204,11 +195,9 @@ def _scan_parallel(graph: Graph, k: int, p: int, c: int, jobs: int,
             read += 1
             if isinstance(result, Exception):
                 raise result
-            rank, subset, found = result
-            witnesses.update(found)
-            if rank is not None:
-                return rank, subset, witnesses
-        return None, None, witnesses
+            if result[0] is not None:
+                return result
+        return None, None
     finally:
         for worker in workers[read:]:
             worker.terminate()
@@ -222,8 +211,10 @@ def verify_ft(graph: Graph, params: FTParams, *, max_witnesses: int = 0,
               jobs: int = 1) -> FTVerdict:
     """Scan all k-subsets in lexicographic order, stopping at the first failure.
 
-    The verdict does not depend on `jobs`: the workers' blocks of ranks are
-    read in order up to the first that fails. Raises
+    The first max_witnesses subsets are packed here, in rank order, and
+    kept as witnesses; the ranks after them are scanned by _scan, or by
+    _scan_parallel in `jobs` blocks. The verdict does not depend on `jobs`:
+    the blocks are read in order up to the first that fails. Raises
     ValueError for jobs < 1, max_witnesses < 0 or either not an integer.
     """
     if type(jobs) is not int or jobs < 1:
@@ -232,42 +223,43 @@ def verify_ft(graph: Graph, params: FTParams, *, max_witnesses: int = 0,
         raise ValueError(f"max_witnesses must be an integer >= 0, got {max_witnesses!r}")
     k, p, c = params.k, params.p, params.c
     n = graph.n
-    want = max_witnesses > 0
 
     if n < params.critical_order:
         return FTVerdict(
             holds=False,
             counterexample=tuple(range(k)) if k <= n else None,
             witness_count=0,
-            sample_witnesses={} if want else None,
+            sample_witnesses={} if max_witnesses else None,
             reason=f"graph has {n} vertices but p*c + k = {params.critical_order} are required",
         )
 
-    prescreen: str | None = None
+    total = comb(n, k)
+    witnesses: dict[tuple[int, ...], CliquePacking] = {}
+    for rank, subset in enumerate(islice(combinations(range(n), k), max_witnesses)):
+        packing = find_disjoint_cliques(graph, p, c, graph.full_mask & ~mask_of(subset))
+        if packing is None:
+            break
+        witnesses[subset] = packing
+    else:
+        start = min(max_witnesses, total)
+        if jobs > 1 and total - start >= _PARALLEL_THRESHOLD:
+            rank, subset = _scan_parallel(graph, k, p, c, min(jobs, total - start), start, total)
+        else:
+            rank, subset = _scan(graph, k, p, c, start, total)
+    sample = witnesses if max_witnesses else None
+    if rank is None:
+        return FTVerdict(True, None, total, sample, None)
+
+    reason = None
     if n == params.critical_order and c >= 3:
         floor = degree_floor(k, c)
         v = vertex_below_floor(graph, floor)
         if v is not None:
-            prescreen = (
+            reason = (
                 f"order equals p*c + k and vertex {v} has degree "
                 f"{graph.degree(v)} < c + k - 1 = {floor}, so some deletion must fail"
             )
-
-    total = comb(n, k)
-    if jobs > 1 and total >= _PARALLEL_THRESHOLD:
-        rank, subset, witnesses = _scan_parallel(
-            graph, k, p, c, min(jobs, total), max_witnesses, total)
-    else:
-        rank, subset, witnesses = _scan(graph, k, p, c, 0, total, max_witnesses)
-    if rank is None:
-        return FTVerdict(True, None, total, witnesses if want else None, None)
-    return FTVerdict(
-        holds=False,
-        counterexample=subset,
-        witness_count=rank + 1,
-        sample_witnesses=witnesses if want else None,
-        reason=prescreen,
-    )
+    return FTVerdict(False, subset, rank + 1, sample, reason)
 
 
 def verify_ft_oracle(graph: Graph, params: FTParams) -> FTVerdict:

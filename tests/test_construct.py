@@ -59,6 +59,10 @@ def test_tree_template_validation():
         TreeTemplate(2, ((0, 1, (9,)),)).validate(1, 3)  # slot range
     with pytest.raises(ValueError):
         TreeTemplate(2, ((0, 1, (0, 0)),)).validate(2, 3)  # repeats
+    # fields that are not ints, bools included, are refused before sorting
+    for gluing in ((0, 1, ("0",)), (0.0, 1, (0,)), (0, 1, 0), (False, True, (True,))):
+        with pytest.raises(ValueError, match="is not of ints"):
+            TreeTemplate(2, (gluing,)).validate(1, 3)
     with pytest.raises(ValueError):
         TreeTemplate.path(3, 4, 3)  # newest attachment needs k <= c
     TreeTemplate.path(3, 2, 3).validate(2, 3)

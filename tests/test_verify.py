@@ -5,7 +5,8 @@ import multiprocessing.connection
 import os
 import random
 import time
-from itertools import combinations
+from dataclasses import replace
+from itertools import combinations, islice
 from math import comb
 
 import pytest
@@ -177,6 +178,12 @@ def test_masked_packer_matches_relabeled_packing():
     assert checked > 600
 
 
+def _first_witnesses(verdict, count):
+    """verdict keeping only its first count witnesses, in rank order."""
+    return replace(verdict, sample_witnesses=dict(
+        islice(verdict.sample_witnesses.items(), count)))
+
+
 @pytest.mark.parametrize("drop", [False, True], ids=["star", "star-minus-edge"])
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_verify_matches_relabeled_reference(monkeypatch, drop, jobs):
@@ -192,11 +199,15 @@ def test_verify_matches_relabeled_reference(monkeypatch, drop, jobs):
         edges.remove(rng.choice(edges))
         g = Graph(g.n, edges)
     params = FTParams(2, 5, 3)
-    verdict = verify_ft(g, params, max_witnesses=comb(g.n, 2), jobs=jobs)
-    expected = verify_reference(g, params)
-    assert verdict == expected
-    assert verdict.reason == expected.reason
-    assert verdict.holds != drop
+    reference = verify_reference(g, params)
+    # Three witnesses leave the scan most ranks; with every rank a witness
+    # the scan has none.
+    for max_witnesses in (3, comb(g.n, 2)):
+        verdict = verify_ft(g, params, max_witnesses=max_witnesses, jobs=jobs)
+        expected = _first_witnesses(reference, max_witnesses)
+        assert verdict == expected
+        assert verdict.reason == expected.reason
+        assert verdict.holds != drop
 
 
 def test_scan_checks_exactly_its_rank_range():
@@ -204,10 +215,10 @@ def test_scan_checks_exactly_its_rank_range():
     expected = verify_ft(g, FTParams(3, 4, 3))
     first = expected.witness_count - 1
     end = comb(g.n, 3)
-    assert verify_module._scan(g, 3, 4, 3, 0, first, 0) == (None, None, {})
-    assert verify_module._scan(g, 3, 4, 3, first, end, 0) == (
-        first, expected.counterexample, {})
-    rank, _, _ = verify_module._scan(g, 3, 4, 3, first + 1, end, 0)
+    assert verify_module._scan(g, 3, 4, 3, 0, first) == (None, None)
+    assert verify_module._scan(g, 3, 4, 3, first, end) == (
+        first, expected.counterexample)
+    rank, _ = verify_module._scan(g, 3, 4, 3, first + 1, end)
     assert rank is None or rank > first
 
 
@@ -250,21 +261,25 @@ def test_verify_does_not_depend_on_jobs(monkeypatch):
     reverse = relabeled(g, list(range(g.n - 1, -1, -1)))
     graphs = [g] + [Graph(h.n, [e for e in h.edges() if e != drop])
                     for h in (g, reverse) for drop in h.edges()]
-    failing_ranks = []
-    for h in graphs:
-        expected = verify_reference(h, params)
-        serial = verify_ft(h, params, max_witnesses=everything, jobs=1)
-        assert serial == expected and serial.reason == expected.reason
+    # The scan's blocks start after three witnesses. With every rank a
+    # witness no block runs, and the ranks are split as from rank 0.
+    for max_witnesses, first in ((3, 3), (everything, 0)):
+        failing_ranks = []
+        for h in graphs:
+            expected = _first_witnesses(verify_reference(h, params), max_witnesses)
+            serial = verify_ft(h, params, max_witnesses=max_witnesses, jobs=1)
+            assert serial == expected and serial.reason == expected.reason
+            for jobs in (2, 3):
+                verdict = verify_ft(h, params, max_witnesses=max_witnesses, jobs=jobs)
+                assert verdict == serial and verdict.reason == serial.reason
+            if not serial.holds:
+                failing_ranks.append(serial.witness_count - 1)
+        assert len(failing_ranks) == len(graphs) - 1
+        size = everything - first
         for jobs in (2, 3):
-            verdict = verify_ft(h, params, max_witnesses=everything, jobs=jobs)
-            assert verdict == serial and verdict.reason == serial.reason
-        if not serial.holds:
-            failing_ranks.append(serial.witness_count - 1)
-    assert len(failing_ranks) == len(graphs) - 1
-    for jobs in (2, 3):
-        for j in range(jobs):
-            block = range(everything * j // jobs, everything * (j + 1) // jobs)
-            assert any(rank in block for rank in failing_ranks)
+            for j in range(jobs):
+                block = range(first + size * j // jobs, first + size * (j + 1) // jobs)
+                assert any(rank in block for rank in failing_ranks)
     assert multiprocessing.active_children() == []
 
 
@@ -329,14 +344,35 @@ def test_carry_survives_the_split_into_blocks(monkeypatch):
     monkeypatch.setattr(verify_module, "find_disjoint_cliques", counting)
     g = star_construction(2, 5, 3)
     total = comb(g.n, 2)
-    assert verify_module._scan(g, 2, 5, 3, 0, total, 0) == (None, None, {})
+    assert verify_module._scan(g, 2, 5, 3, 0, total) == (None, None)
     serial = len(calls)
     for jobs in (2, 3):
         calls.clear()
         for j in range(jobs):
             assert verify_module._scan(g, 2, 5, 3, total * j // jobs,
-                                       total * (j + 1) // jobs, 0) == (None, None, {})
+                                       total * (j + 1) // jobs) == (None, None)
         assert len(calls) <= serial + jobs - 1
+
+
+def test_witness_ranks_are_packed_once(monkeypatch):
+    # Packing the witnesses before the scan, not after its verdict, runs the
+    # packer once on each of the first max_witnesses deletions; relabeled
+    # inputs break the carry on most ranks, so a second packing would show.
+    masks = []
+
+    def counting(graph, p, c, allowed=None):
+        masks.append(allowed)
+        return find_disjoint_cliques(graph, p, c, allowed)
+
+    monkeypatch.setattr(verify_module, "find_disjoint_cliques", counting)
+    g = star_construction(2, 10, 3)
+    perm = list(range(g.n))
+    random.Random(5).shuffle(perm)
+    g = relabeled(g, perm)
+    verdict = verify_ft(g, FTParams(2, 10, 3), max_witnesses=16)
+    assert verdict.holds and len(verdict.sample_witnesses) == 16
+    leading = [g.full_mask & ~mask_of(s) for s in islice(combinations(range(g.n), 2), 16)]
+    assert all(masks.count(allowed) == 1 for allowed in leading)
 
 
 def test_racing_workers_keep_the_least_failing_rank():
@@ -345,13 +381,13 @@ def test_racing_workers_keep_the_least_failing_rank():
     # the scan, and the workers not read are terminated.
     g = disjoint_union(star_construction(3, 3, 3), complete_graph(3))
     params = FTParams(3, 4, 3)
-    everything = comb(g.n, 3)
-    serial = verify_ft(g, params, max_witnesses=everything)
     jobs = len(os.sched_getaffinity(0)) + 2 if hasattr(os, "sched_getaffinity") else 4
     started = time.monotonic()
-    for _ in range(10):
-        verdict = verify_ft(g, params, max_witnesses=everything, jobs=jobs)
-        assert verdict == serial
+    for max_witnesses in (3, comb(g.n, 3)):
+        serial = verify_ft(g, params, max_witnesses=max_witnesses)
+        for _ in range(10):
+            verdict = verify_ft(g, params, max_witnesses=max_witnesses, jobs=jobs)
+            assert verdict == serial
     assert time.monotonic() - started < 60
     assert multiprocessing.active_children() == []
 
