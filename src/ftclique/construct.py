@@ -60,7 +60,12 @@ class TreeTemplate:
         """
         FTParams(k, self.p, c)
         p = self.p
-        for parent, child, slots in self.gluings:
+        if type(self.gluings) not in (tuple, list):
+            raise ValueError(f"gluings must be a tuple or list, not {type(self.gluings).__name__}")
+        for gluing in self.gluings:
+            if type(gluing) not in (tuple, list) or len(gluing) != 3:
+                raise ValueError(f"gluing {gluing!r} is not a (parent, child, slots) triple")
+            parent, child, slots = gluing
             if not (type(parent) is type(child) is int and type(slots) in (tuple, list)
                     and all(type(s) is int for s in slots)):  # bool too
                 raise ValueError(f"gluing {(parent, child, slots)!r} is not of ints")

@@ -8,13 +8,17 @@ walking d0 over [c+k-1, n-1] covers all classes with the forced degree
 floor. For c >= 3 the enumerator yields only graphs whose vertices of
 degree c+k-1 have clique closed neighborhoods (a necessary condition from
 `audit`, applied while the graph is built so dead branches are never
-walked). Every yielded graph is canonicalized, and each class is verified
-once. Units run in (m, d0) order and are idempotent, which makes budget
-interruption and resumption safe: a token names the first unfinished
-unit, the last graph of it already examined and the classes already
-checked at its edge count; every later unit is implied. A finished
-search is a token that owes no unit, and resuming from it replays its
-result.
+walked). A unit is closed under swapping two adjacent labels inside
+N(0) = {1..d0} or outside N[0], and the walk yields its graphs in
+decreasing lex order, so the first labeling of each class leads its orbit
+under those swaps: no swap makes it earlier. Only the yielded graphs that
+lead are canonicalized (a lex-leader test, after Crawford, Ginsberg, Luks
+and Roy, KR 1996), and each class is verified once. Units run in (m, d0)
+order and are idempotent, which makes budget interruption and resumption
+safe: a token names the first unfinished unit, the last graph of it
+already examined and the classes already checked at its edge count;
+every later unit is implied. A finished search is a token that owes no
+unit, and resuming from it replays its result.
 """
 
 import time
@@ -227,10 +231,12 @@ class SearchReport:
     notes: tuple[str, ...] = field(default=())
     # Work counts of this call alone (graphs_examined is cumulative over
     # resumed runs): labeled_graphs taken from the enumerator, none of
-    # them twice across resumes, each canonicalized. new_classes of those
-    # were unseen at their edge count, also by earlier runs, verify_calls
-    # of those were verified (the connectivity prune skips disconnected
-    # ones), and accepted of those hold.
+    # them twice across resumes, and canonical_forms of those were
+    # canonicalized because they lead their orbit. new_classes of the
+    # leaders were unseen at their edge count, also by earlier runs,
+    # verify_calls of those were verified (the connectivity prune skips
+    # disconnected ones), and accepted of those hold. The checks of a
+    # resumed token's best_certs count in none of these.
     stats: dict = field(default_factory=dict, compare=False)
 
     def state(self) -> SearchResume:
@@ -358,6 +364,25 @@ def _iter_adjacencies(n: int, m: int, dmin: int, d0: int, after=None, tight=None
             deficit -= (du < dmin) + (dv < dmin)
 
 
+def _leads_orbit(adj: tuple[int, ...], d0: int) -> bool:
+    """False if swapping labels j, j+1, both in 1..d0 or both past d0,
+    gives a graph the walk yields earlier.
+
+    The walk yields in decreasing order of rows 1, 2, ... right of their
+    diagonal, each read lowest column first with an edge before a non-edge.
+    The swap exchanges columns j and j+1 in the rows r < j, and rows j and
+    j+1 in the columns past j+1, and changes nothing else that order reads,
+    so the swapped graph is earlier exactly when the lowest vertex other
+    than j, j+1 that tells their neighborhoods apart is a neighbor of j+1.
+    """
+    for j in range(1, len(adj) - 1):
+        if j != d0:
+            differ = (adj[j] ^ adj[j + 1]) & ~(3 << j)
+            if adj[j + 1] & differ & -differ:
+                return False
+    return True
+
+
 def search_minimum(params: FTParams, max_edges: int | None = None,
                    budget: Budget | None = None, *,
                    resume: SearchResume | None = None) -> SearchReport:
@@ -419,7 +444,7 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
     # (the audits' premise); below it they could discard accepted graphs.
     tight = dmin if c >= 3 else None
     connectivity_prune = k >= 1 and c >= 3
-    new_classes = verify_calls = accepted = 0
+    canonical_forms = new_classes = verify_calls = accepted = 0
 
     # Walk the units (m, d0) from the cursor up to last_m; a solution at
     # best_m drops every larger edge count. after is the last graph of the
@@ -427,17 +452,21 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
     while m <= last_m:
         for adj in _iter_adjacencies(n, m, d0, d0, None if after is None else after.adj, tight):
             g = Graph._from_adj(n, adj)
-            cert = canonical_form(g)
-            if cert not in seen:
-                seen.add(cert)
-                new_classes += 1
-                if not connectivity_prune or is_connected(g):
-                    verify_calls += 1
-                    if verify_ft(g, params).holds:
-                        accepted += 1
-                        if best_m is None:
-                            best_m = last_m = m
-                        best_certs.add(cert)
+            # A graph that does not lead its orbit has an isomorphic swap
+            # earlier in this unit, so its class is already in seen.
+            if _leads_orbit(adj, d0):
+                canonical_forms += 1
+                cert = canonical_form(g)
+                if cert not in seen:
+                    seen.add(cert)
+                    new_classes += 1
+                    if not connectivity_prune or is_connected(g):
+                        verify_calls += 1
+                        if verify_ft(g, params).holds:
+                            accepted += 1
+                            if best_m is None:
+                                best_m = last_m = m
+                            best_certs.add(cert)
             after = g
             examined += 1
             if over_budget(examined):
@@ -487,6 +516,7 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
         notes=tuple(notes),
         stats={
             "labeled_graphs": examined - baseline,
+            "canonical_forms": canonical_forms,
             "new_classes": new_classes,
             "verify_calls": verify_calls,
             "accepted": accepted,

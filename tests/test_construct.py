@@ -63,6 +63,11 @@ def test_tree_template_validation():
     for gluing in ((0, 1, ("0",)), (0.0, 1, (0,)), (0, 1, 0), (False, True, (True,))):
         with pytest.raises(ValueError, match="is not of ints"):
             TreeTemplate(2, (gluing,)).validate(1, 3)
+    # a plan that is not a sequence of triples is refused before unpacking
+    for gluings, message in ((None, "tuple or list"), ((5,), "triple"), (((0, 1),), "triple"),
+                             (((0, 1, (0,), 2),), "triple"), (("abc",), "triple")):
+        with pytest.raises(ValueError, match=message):
+            TreeTemplate(2, gluings).validate(1, 3)
     with pytest.raises(ValueError):
         TreeTemplate.path(3, 4, 3)  # newest attachment needs k <= c
     TreeTemplate.path(3, 2, 3).validate(2, 3)

@@ -33,7 +33,7 @@ from ftclique import search as search_module
 from ftclique.audit import tight_vertex_with_open_closure
 from ftclique.formats import emit_graph6, parse_graph6
 from ftclique.graphs import Graph, mask_of
-from ftclique.search import _iter_adjacencies
+from ftclique.search import _iter_adjacencies, _leads_orbit
 from helpers import (
     all_graphs_with_edges,
     bad_resume_afters,
@@ -131,6 +131,8 @@ def test_filter_rejects_before_canonical_forms():
     stats = report.stats
     assert report.graphs_examined == stats["labeled_graphs"] == 6
     assert stats["new_classes"] == stats["verify_calls"] == stats["accepted"] == 1
+    # and only the first of the 6 leads its orbit under label swaps
+    assert stats["canonical_forms"] == 1
     assert report.to_dict()["stats"] == stats
 
 
@@ -580,6 +582,92 @@ def test_resumed_hops_check_each_class_once():
     assert report.exemplars == straight.exemplars
 
 
+@pytest.fixture(scope="module")
+def recorded_walk():
+    """_iter_adjacencies with each unit's stream walked once and kept; a
+    seek yields the kept tail, which the seek tests above pin."""
+    streams = {}
+
+    def walk(n, m, dmin, d0, after=None, tight=None):
+        key = (n, m, dmin, d0, tight)
+        if key not in streams:
+            streams[key] = list(_iter_adjacencies(n, m, dmin, d0, None, tight))
+        stream = streams[key]
+        yield from stream[0 if after is None else stream.index(after) + 1:]
+
+    return walk
+
+
+@pytest.mark.parametrize("k,p,c,top", [
+    (2, 2, 3, 19), (3, 2, 3, 27), (1, 3, 3, 18), (1, 2, 4, 20), (2, 2, 4, 29), (2, 3, 3, 25),
+])
+def test_first_labeling_of_each_class_leads_its_orbit(recorded_walk, k, p, c, top):
+    # every unit up to the minimum (up to m = 25 for (2,3,3)): the first
+    # labeling of each class in the unit's stream passes the leader test,
+    # and every graph that fails it has a swap of labels j, j+1, both in
+    # 1..d0 or both past d0, earlier in the stream, found by relabeling
+    n = k + p * c
+    dmin = k + c - 1
+    skipped = 0
+    for m in range((n * dmin + 1) // 2, top + 1):
+        for d0 in range(dmin, n):
+            stream = list(recorded_walk(n, m, d0, d0, None, dmin))
+            position = {adj: i for i, adj in enumerate(stream)}
+            classes = set()
+            for i, adj in enumerate(stream):
+                g = Graph._from_adj(n, adj)
+                cert = canonical_form(g)
+                leads = _leads_orbit(adj, d0)
+                if cert not in classes:
+                    classes.add(cert)
+                    assert leads, (m, d0, i)
+                if not leads:
+                    skipped += 1
+                    swaps = []
+                    for j in range(1, n - 1):
+                        if j != d0:
+                            perm = list(range(n))
+                            perm[j], perm[j + 1] = j + 1, j
+                            swaps.append(relabeled(g, perm).adj)
+                    assert any(position.get(swap, i) < i for swap in swaps), (m, d0, i)
+    assert skipped > 0
+
+
+def _stop(params, graphs, resume=None):
+    """One budgeted run: its report dict without elapsed_seconds and
+    canonical_forms, its canonical_forms and its resume token."""
+    report = search_minimum(params, budget=graphs and Budget(graphs=graphs), resume=resume)
+    data = report.to_dict()
+    del data["elapsed_seconds"]
+    canonical_forms = data["stats"].pop("canonical_forms")
+    assert canonical_forms <= data["stats"]["labeled_graphs"]
+    return data, canonical_forms, report.resume
+
+
+def _chain(params, graphs):
+    runs, resume = [], None
+    while not runs or resume is not None:
+        data, canonical_forms, resume = _stop(params, graphs, resume)
+        runs.append((data, canonical_forms))
+    return runs
+
+
+@pytest.mark.parametrize("params", [FTParams(2, 2, 3), FTParams(3, 2, 3), FTParams(1, 3, 3)])
+def test_leader_test_keeps_reports_and_tokens(recorded_walk, monkeypatch, params):
+    # the reference canonicalizes every graph; a straight run and chains of
+    # 1-, 2- and 5-graph hops report the same minimum, exemplars, counts
+    # and token at every stop, with fewer canonical forms
+    monkeypatch.setattr(search_module, "_iter_adjacencies", recorded_walk)
+    chains = (None, 1, 2, 5)
+    ours = [_chain(params, graphs) for graphs in chains]
+    monkeypatch.setattr(search_module, "_leads_orbit", lambda adj, d0: True)
+    reference = [_chain(params, graphs) for graphs in chains]
+    for got, want in zip(ours, reference):
+        assert [data for data, _ in got] == [data for data, _ in want]
+        assert all(forms == data["stats"]["labeled_graphs"] for data, forms in want)
+    assert ours[0][0][1] < reference[0][0][1]
+
+
 def test_max_edges_cutoff_reports_nothing_found():
     for max_edges in (11, 10):  # 10 lies below the lower bound 11
         report = search_minimum(FTParams(1, 2, 3), max_edges=max_edges)
@@ -647,7 +735,7 @@ def test_committed_state_file_round_trips():
     assert SearchResume.from_dict(data).to_dict() == data
 
 
-def test_committed_state_file_resumes_at_its_position():
+def test_committed_state_file_resumes_at_its_position(monkeypatch):
     # certificates decide which classes the token has seen, so this pins
     # them against the certificates stored on disk
     token = SearchResume.from_dict(json.loads(STATE_2_3_3.read_text()))
@@ -655,6 +743,12 @@ def test_committed_state_file_resumes_at_its_position():
     assert report.graphs_examined == 18_973_114
     assert emit_graph6(report.resume.after).strip() == "J}f`acNBX[_"
     assert report.stats["new_classes"] == 0
+    # none of the 300 leads its orbit; canonicalizing all of them, as the
+    # reference does, gives the same report and token
+    data, canonical_forms, _ = _stop(FTParams(2, 3, 3), 300, token)
+    assert canonical_forms == 0
+    monkeypatch.setattr(search_module, "_leads_orbit", lambda adj, d0: True)
+    assert _stop(FTParams(2, 3, 3), 300, token)[:2] == (data, 300)
 
 
 def test_results_exemplars_have_the_stored_certificates():
