@@ -131,7 +131,7 @@ def _build_tree(args: argparse.Namespace) -> Graph:
         raise ValueError(
             f"template header must be 'p k c', got {' '.join(lines[0])!r}"
         ) from None
-    check_order(p * c + k, args.out_format)
+    check_order(p * c + k)
     gluings = []
     for parts in lines[1:]:
         if len(parts) != 2 + k:
@@ -149,7 +149,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     # emitters refuse is refused before the build (the tree's, from its
     # template header, in _build_tree).
     if args.order is not None:
-        check_order(args.order(args), args.out_format)
+        check_order(args.order(args))
     sys.stdout.write(emit_graph(args.build(args), args.out_format))
     return 0
 

@@ -65,14 +65,11 @@ def parse_edge_list(text: str) -> Graph:
     return Graph._from_adj(n, tuple(adj))
 
 
-def check_order(n: int, fmt: str = "edge-list") -> None:
-    """Raise the ValueError the emitter for fmt raises on a graph of order
-    n above MAX_ORDER, so a caller can refuse before it builds the graph."""
-    if n <= MAX_ORDER:
-        return
-    if fmt == "graph6":
-        raise ValueError(f"graph6 support here stops at n = {MAX_ORDER}, got {n}")
-    raise ValueError(f"edge lists here stop at n = {MAX_ORDER}, got {n}")
+def check_order(n: int) -> None:
+    """Raise the ValueError both emitters raise on a graph of order n above
+    MAX_ORDER, so a caller can refuse before it builds the graph."""
+    if n > MAX_ORDER:
+        raise ValueError(f"graphs here stop at n = {MAX_ORDER}, got {n}")
 
 
 def emit_edge_list(graph: Graph) -> str:
@@ -84,7 +81,7 @@ def emit_edge_list(graph: Graph) -> str:
 
 
 def _encode_n(n: int) -> str:
-    check_order(n, "graph6")
+    check_order(n)
     if n <= 62:
         return chr(n + 63)
     return chr(126) + "".join(chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0))

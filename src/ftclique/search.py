@@ -271,7 +271,7 @@ class SearchReport:
         }
 
 
-def _iter_adjacencies(n: int, m: int, dmin: int, d0: int, after=None, tight=None):
+def _iter_adjacencies(n: int, m: int, dmin: int, d0: int, after=None, tight=False):
     """All m-edge graphs with N(0) == {1..d0} and min degree >= dmin.
 
     Remaining edges are chosen among vertices 1..n-1 in lexicographic slot
@@ -286,14 +286,14 @@ def _iter_adjacencies(n: int, m: int, dmin: int, d0: int, after=None, tight=None
     each take branch in place and stacks only the skip branch, with the
     rows it starts from; a degree is its row's bit count.
 
-    With a `tight` degree, only graphs in which every vertex of that degree
-    has a clique closed neighborhood are yielded, in the same order, and
-    dead branches are cut early. Vertex x is final once its last slot
-    (x, n-1) is decided (vertex 0 from the start), and for a final vertex
-    w of degree tight: (i) no slot with both ends in N(w) may be skipped,
-    so when d0 == tight N[0] is a clique; (ii) when w becomes final, the
-    walk stops if some final x in N(w) has N[w] not inside N[x], which
-    catches pairs decided before w was final. The leaf applies the rule
+    With `tight` set, only graphs in which every vertex of degree dmin, the
+    walk's floor, has a clique closed neighborhood are yielded, in the same
+    order, and dead branches are cut early. Vertex x is final once its last
+    slot (x, n-1) is decided (vertex 0 from the start), and for a final
+    vertex w of degree dmin: (i) no slot with both ends in N(w) may be
+    skipped, so when d0 == dmin N[0] is a clique; (ii) when w becomes
+    final, the walk stops if some final x in N(w) has N[w] not inside N[x],
+    which catches pairs decided before w was final. The leaf applies the rule
     itself, through `audit.tight_vertex_with_open_closure`, and so catches
     what (ii) leaves to the neighbors of w that become final after it.
     """
@@ -307,7 +307,7 @@ def _iter_adjacencies(n: int, m: int, dmin: int, d0: int, after=None, tight=None
     # (x, n-1); closing[i] names it (0: none), and the final vertices are
     # then 0..x. Vertices n-2 and n-1 become final together at the leaf.
     closing = [0] * (total_slots + 1)
-    if tight is not None:
+    if tight:
         for i, (u, v, _, _) in enumerate(slots, start=1):
             if v == n - 1 and u < n - 2:
                 closing[i] = u
@@ -318,9 +318,9 @@ def _iter_adjacencies(n: int, m: int, dmin: int, d0: int, after=None, tight=None
         adj[v] = 1
 
     def closes(x: int, tight_done: int) -> int:
-        # tight_done (the final vertices of degree tight) once x joins the
-        # final vertices 0..x-1, or -1 if x breaks the tight rule.
-        if adj[x].bit_count() != tight:
+        # tight_done (the final vertices at the floor dmin) once x joins
+        # the final vertices 0..x-1, or -1 if x breaks the tight rule.
+        if adj[x].bit_count() != dmin:
             return tight_done
         closed_x = adj[x] | 1 << x
         for y in bits(adj[x] & ((1 << x) - 1)):
@@ -329,7 +329,7 @@ def _iter_adjacencies(n: int, m: int, dmin: int, d0: int, after=None, tight=None
         return tight_done | 1 << x
 
     deficit = sum(max(0, dmin - adj[v].bit_count()) for v in range(1, n))
-    stack = [(0, m - d0, deficit, after, 1 if d0 == tight else 0, tuple(adj))]
+    stack = [(0, m - d0, deficit, after, 1 if tight and d0 == dmin else 0, tuple(adj))]
     while stack:
         i, need, deficit, path, tight_done, rows = stack.pop()
         adj[:] = rows
@@ -342,8 +342,8 @@ def _iter_adjacencies(n: int, m: int, dmin: int, d0: int, after=None, tight=None
             if need == 0:
                 if deficit == 0 and path is None:
                     leaf = tuple(adj)
-                    if tight is None or tight_vertex_with_open_closure(
-                            Graph._from_adj(n, leaf), tight) is None:
+                    if not tight or tight_vertex_with_open_closure(
+                            Graph._from_adj(n, leaf), dmin) is None:
                         yield leaf
                 break
             if total_slots - i < need:
@@ -428,7 +428,7 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
     best_certs: set[CanonicalForm] = set(resume.best_certs)
     seen: set[CanonicalForm] = set(resume.seen_certs)
     examined = resume.graphs_examined
-    after = resume.after
+    after = None if resume.after is None else resume.after.adj
     last_m = max_edges if best_m is None else best_m
 
     budget = budget or Budget()
@@ -442,19 +442,20 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
 
     # The enumerator's tight rule and the connectivity prune rest on c >= 3
     # (the audits' premise); below it they could discard accepted graphs.
-    tight = dmin if c >= 3 else None
+    # The rule fires only in the units whose floor d0 is c+k-1: elsewhere
+    # every degree is at least d0 > c+k-1, so no vertex is tight.
     connectivity_prune = k >= 1 and c >= 3
     canonical_forms = new_classes = verify_calls = accepted = 0
 
     # Walk the units (m, d0) from the cursor up to last_m; a solution at
-    # best_m drops every larger edge count. after is the last graph of the
-    # current unit already in examined, and the walk resumes past it.
+    # best_m drops every larger edge count. after is the rows of the last
+    # graph of the unit already in examined; the walk resumes past it.
     while m <= last_m:
-        for adj in _iter_adjacencies(n, m, d0, d0, None if after is None else after.adj, tight):
-            g = Graph._from_adj(n, adj)
+        for adj in _iter_adjacencies(n, m, d0, d0, after, c >= 3 and d0 == dmin):
             # A graph that does not lead its orbit has an isomorphic swap
             # earlier in this unit, so its class is already in seen.
             if _leads_orbit(adj, d0):
+                g = Graph._from_adj(n, adj)
                 canonical_forms += 1
                 cert = canonical_form(g)
                 if cert not in seen:
@@ -467,7 +468,7 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
                             if best_m is None:
                                 best_m = last_m = m
                             best_certs.add(cert)
-            after = g
+            after = adj
             examined += 1
             if over_budget(examined):
                 break
@@ -486,8 +487,8 @@ def search_minimum(params: FTParams, max_edges: int | None = None,
     notes: list[str] = []
     if m <= last_m:
         token = SearchResume(
-            k, p, c, max_edges, (m, d0), best_m,
-            tuple(sorted(best_certs)), examined, after, tuple(sorted(seen)),
+            k, p, c, max_edges, (m, d0), best_m, tuple(sorted(best_certs)), examined,
+            after and Graph._from_adj(n, after), tuple(sorted(seen)),
         )
         notes.append("budget exhausted; resume token covers the remaining units")
         if best_m is not None:

@@ -177,6 +177,7 @@ def test_construct_refuses_orders_the_parsers_refuse(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ("star", "--k", "1", "--p", "100000", "--c", "3"),
     ("cycle", "--p", "129024"),
+    ("cycle", "--p", "129024", "--out-format", "graph6"),
 ])
 def test_construct_refuses_an_over_limit_order_before_building(argv):
     # The real builds would take seconds and gigabytes; the refusal takes

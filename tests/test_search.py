@@ -481,7 +481,7 @@ def test_walk_does_not_recurse():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 50)
     try:
-        adj = next(_iter_adjacencies(40, 80, 4, 4, None, 4))
+        adj = next(_iter_adjacencies(40, 80, 4, 4, None, True))
     finally:
         sys.setrecursionlimit(limit)
     assert adj == tuple(mask_of(range(v - v % 5, v - v % 5 + 5)) & ~(1 << v)
@@ -498,7 +498,7 @@ def test_enumerator_stream_is_pinned():
             lower = (n * dmin + 1) // 2
             for d0 in range(dmin, n):
                 for m in range(lower - 1, lower + 6):
-                    for tight in (None, dmin):
+                    for tight in (False, True):
                         for adj in _iter_adjacencies(n, m, dmin, d0, None, tight):
                             digest.update(repr(adj).encode())
                             count += 1
@@ -507,15 +507,20 @@ def test_enumerator_stream_is_pinned():
         "4ed446411c51cbe5769b7e418a1a99ae2fe7babf04baf19e3663959d9b8b3543"
 
 
-@pytest.mark.parametrize("n,m,d0s,graphs", [(8, 19, [4], 6), (10, 29, range(5, 10), 10)])
+@pytest.mark.parametrize("n,m,d0s,graphs", [
+    (8, 19, [4], 6), (10, 29, range(5, 10), 10), (9, 27, range(5, 9), 1082),
+])
 def test_seeking_from_a_search_unit_gives_its_tail(n, m, d0s, graphs):
-    # the (2,2,3) unit (19, 4) and the (2,2,4) units (29, d0), as the
-    # search walks them: the unit's d0 as floor and c+k-1 as tight degree
-    tight, total = d0s[0], 0
+    # the (2,2,3) unit (19, 4), the (2,2,4) units (29, d0) and the (3,2,3)
+    # units (27, d0), as the search walks them: the unit's d0 as floor and
+    # the tight rule on only at c+k-1; seeking from every graph, or from
+    # every 25th of the 1,082 of (3,2,3)
+    total = 0
     for d0 in d0s:
+        tight = d0 == d0s[0]
         stream = list(_iter_adjacencies(n, m, d0, d0, None, tight))
-        for i, after in enumerate(stream):
-            assert list(_iter_adjacencies(n, m, d0, d0, after, tight)) == stream[i + 1:]
+        for i in range(0, len(stream), 1 if graphs < 100 else 25):
+            assert list(_iter_adjacencies(n, m, d0, d0, stream[i], tight)) == stream[i + 1:]
         total += len(stream)
     assert total == graphs
 
@@ -533,10 +538,10 @@ def test_tight_enumerator_is_the_filtered_stream(n):
             for m in range((n * dmin + 1) // 2, n * (n - 1) // 2 + 1):
                 expected = [adj for adj in _iter_adjacencies(n, m, dmin, d0)
                             if _tight_closed(n, adj, dmin)]
-                stream = list(_iter_adjacencies(n, m, dmin, d0, tight=dmin))
+                stream = list(_iter_adjacencies(n, m, dmin, d0, tight=True))
                 assert stream == expected
                 for i, after in enumerate(stream):
-                    assert list(_iter_adjacencies(n, m, dmin, d0, after, tight=dmin)) \
+                    assert list(_iter_adjacencies(n, m, dmin, d0, after, tight=True)) \
                         == stream[i + 1:]
 
 
@@ -544,8 +549,15 @@ def test_tight_enumerator_is_the_filtered_stream(n):
 def test_tight_enumerator_on_the_2_2_3_units(m):
     # the units (m, 4) of the (2,2,3) search, whose floor c+k-1 is 4
     expected = [adj for adj in _iter_adjacencies(8, m, 4, 4) if _tight_closed(8, adj, 4)]
-    assert list(_iter_adjacencies(8, m, 4, 4, tight=4)) == expected
+    assert list(_iter_adjacencies(8, m, 4, 4, tight=True)) == expected
     assert len(expected) == (6 if m == 19 else 0)
+
+
+# labeled_graphs, canonical_forms, new_classes, verify_calls and accepted
+# of each order-9 search; they pin the streams, (3,2,3)'s mostly in unit
+# (27, 6) above its floor 5, where the tight rule is off
+ORDER_9_STATS = {(0, 3, 3): (10, 1, 1, 1, 1), (1, 2, 4): (4, 1, 1, 1, 1),
+                 (3, 2, 3): (1082, 12, 5, 5, 2)}
 
 
 @pytest.mark.parametrize("k,p,c,minimum,exemplars", [
@@ -560,6 +572,8 @@ def test_order_9_minima(k, p, c, minimum, exemplars):
     assert report.exhaustive
     assert report.minimum_found == minimum
     assert {emit_graph6(g).strip() for g in report.exemplar_graphs()} == exemplars
+    keys = ("labeled_graphs", "canonical_forms", "new_classes", "verify_calls", "accepted")
+    assert report.stats == dict(zip(keys, ORDER_9_STATS[k, p, c]))
 
 
 def test_resumed_hops_check_each_class_once():
@@ -588,7 +602,7 @@ def recorded_walk():
     seek yields the kept tail, which the seek tests above pin."""
     streams = {}
 
-    def walk(n, m, dmin, d0, after=None, tight=None):
+    def walk(n, m, dmin, d0, after=None, tight=False):
         key = (n, m, dmin, d0, tight)
         if key not in streams:
             streams[key] = list(_iter_adjacencies(n, m, dmin, d0, None, tight))
@@ -611,7 +625,7 @@ def test_first_labeling_of_each_class_leads_its_orbit(recorded_walk, k, p, c, to
     skipped = 0
     for m in range((n * dmin + 1) // 2, top + 1):
         for d0 in range(dmin, n):
-            stream = list(recorded_walk(n, m, d0, d0, None, dmin))
+            stream = list(recorded_walk(n, m, d0, d0, None, d0 == dmin))
             position = {adj: i for i, adj in enumerate(stream)}
             classes = set()
             for i, adj in enumerate(stream):
